@@ -51,8 +51,6 @@ func main() {
 	scaling := flag.Bool("scaling", false, "run only the parallel scaling sweep (GOMAXPROCS 1/2/4/8) and print it")
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention pprof profile to this path at exit")
 	blockProfile := flag.String("blockprofile", "", "write a blocking pprof profile to this path at exit")
-	mutexFrac := flag.Int("mutexfrac", 1, "mutex profile sampling fraction (SetMutexProfileFraction)")
-	blockRate := flag.Int("blockrate", 1, "block profile rate in ns (SetBlockProfileRate)")
 	faults := flag.Bool("faults", false, "run the deterministic fault-injection sweep over both configurations")
 	faultSeed := flag.Int64("faultseed", 42, "seed for the fault-injection sweep (fixes torn-read offsets)")
 	diffFuzz := flag.Int("difffuzz", 0, "run N differential-fuzzing traces (baseline vs Protego) instead of the tables")
@@ -64,28 +62,12 @@ func main() {
 	vulgenSeed := flag.Int64("vulngenseed", 1, "seed for the vulnerable-environment generator")
 	flag.Parse()
 
-	if *mutexProfile != "" || *blockProfile != "" {
-		mf, br := 0, 0
-		if *mutexProfile != "" {
-			mf = *mutexFrac
+	writeProfiles := bench.StartContentionProfiles(*mutexProfile, *blockProfile)
+	defer func() {
+		if err := writeProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "protego-bench: %v\n", err)
 		}
-		if *blockProfile != "" {
-			br = *blockRate
-		}
-		bench.EnableContentionProfiling(mf, br)
-		defer func() {
-			if *mutexProfile != "" {
-				if err := bench.DumpProfile("mutex", *mutexProfile); err != nil {
-					fmt.Fprintf(os.Stderr, "protego-bench: %v\n", err)
-				}
-			}
-			if *blockProfile != "" {
-				if err := bench.DumpProfile("block", *blockProfile); err != nil {
-					fmt.Fprintf(os.Stderr, "protego-bench: %v\n", err)
-				}
-			}
-		}()
-	}
+	}()
 
 	if *faults {
 		linux, err := bench.RunFaultSweep(kernel.ModeLinux, *faultSeed, *quick)

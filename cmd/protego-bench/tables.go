@@ -35,21 +35,19 @@ func printTable1(quick bool) error {
 		}
 	}
 
-	// Performance: worst-case microbenchmark overhead.
-	linux, protego, err := bench.RunMicroPair()
+	// Performance: worst-case overhead over the Table 5 micro rows.
+	rows, err := bench.RunTable5(bench.Table5Config{SkipMacro: true})
 	if err != nil {
 		return err
 	}
 	// Consider only rows whose baseline is long enough to time reliably;
 	// sub-50ns operations are dominated by timer jitter.
 	worst := 0.0
-	for name, l := range linux {
-		if l < 0.05 {
+	for i := range rows {
+		if rows[i].Linux < 0.05 {
 			continue
 		}
-		if oh := (protego[name] - l) / l * 100; oh > worst {
-			worst = oh
-		}
+		worst = max(worst, rows[i].OverheadPct())
 	}
 
 	fmt.Printf("  %-62s %10s\n", "Net lines of code de-privileged (paper):", "12,717")

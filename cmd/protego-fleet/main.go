@@ -10,9 +10,10 @@
 //	                                           clone rate to be at least
 //	                                           10x a fresh world.Build
 //
-// The -gate measurement interleaves fresh boots with clone batches so
-// both rates share the same load window (scheduling noise on a shared
-// runner hits both alike), gates on the median per-round speedup, and
+// The -gate measurement is the bench package's paired harness
+// (bench.MeasureCloneSpeedup, shared with protego-bench -fleet): rounds of
+// one fresh boot against one clone batch on a probe fleet, the first arm
+// alternating every round. It gates on the median per-round speedup and
 // retries once with fresh samples before failing.
 //
 // Exit status is non-zero on any isolation problem, any tenant missing
@@ -23,48 +24,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
+	"protego/internal/bench"
 	"protego/internal/fleet"
 	"protego/internal/kernel"
-	"protego/internal/world"
 )
-
-// measureSpeedup times the clone rate against the fresh-boot rate with
-// interleaved samples: each round runs one fresh world.Build and one
-// batch of clones back to back, so both sides see the same scheduler
-// load window and a noisy shared runner slows them together instead of
-// skewing the ratio. The rounds are summarized by their median, which a
-// single descheduled sample cannot drag below the gate. Returns the
-// median per-round speedup plus the aggregate clone rate for reporting.
-func measureSpeedup(f *fleet.Manager, tenants, rounds int) (speedup, cloneRate float64, err error) {
-	speedups := make([]float64, 0, rounds)
-	var cloned int
-	var cloneSecs float64
-	for r := 0; r < rounds; r++ {
-		batch := tenants / rounds
-		if r == rounds-1 {
-			batch = tenants - batch*(rounds-1)
-		}
-		start := time.Now()
-		if _, err := world.Build(world.Options{Mode: kernel.ModeProtego}); err != nil {
-			return 0, 0, fmt.Errorf("fresh boot: %w", err)
-		}
-		freshSecs := time.Since(start).Seconds()
-		start = time.Now()
-		if err := f.Stamp(batch); err != nil {
-			return 0, 0, err
-		}
-		batchSecs := time.Since(start).Seconds()
-		cloned += batch
-		cloneSecs += batchSecs
-		speedups = append(speedups, float64(batch)/batchSecs*freshSecs)
-	}
-	sort.Float64s(speedups)
-	return speedups[len(speedups)/2], float64(cloned) / cloneSecs, nil
-}
 
 func main() {
 	tenants := flag.Int("tenants", 64, "tenant machines to stamp from the golden snapshot")
@@ -84,18 +50,16 @@ func main() {
 		fail("%v", err)
 	}
 	if *gate > 0 {
-		// Interleaved, retried measurement: a shared CI runner's
-		// scheduling noise hits fresh boots and clone batches alike, and
-		// one bad window gets a second chance before the job fails.
-		const rounds, attempts = 3, 2
-		var speedup, cloneRate float64
+		const attempts = 2
+		var speedup float64
 		for try := 1; ; try++ {
-			speedup, cloneRate, err = measureSpeedup(f, *tenants, rounds)
+			var cloneRate float64
+			speedup, _, cloneRate, err = bench.MeasureCloneSpeedup(*tenants)
 			if err != nil {
 				fail("%v", err)
 			}
-			fmt.Printf("clone speedup: %.1fx over fresh boot (median of %d interleaved rounds, %.1f machines/s), gate %.1fx\n",
-				speedup, rounds, cloneRate, *gate)
+			fmt.Printf("clone speedup: %.1fx over fresh boot (median paired round, %.1f machines/s), gate %.1fx\n",
+				speedup, cloneRate, *gate)
 			if speedup >= *gate || try >= attempts {
 				break
 			}
@@ -104,18 +68,17 @@ func main() {
 		if speedup < *gate {
 			fail("clone speedup %.1fx is below the %.1fx gate after %d attempts", speedup, *gate, attempts)
 		}
-	} else {
-		start := time.Now()
-		if err := f.Stamp(*tenants); err != nil {
-			fail("%v", err)
-		}
-		cloneSecs := time.Since(start).Seconds()
-		fmt.Printf("stamped %d tenants in %.3fs (%.1f machines/s)\n",
-			*tenants, cloneSecs, float64(*tenants)/cloneSecs)
 	}
+	start := time.Now()
+	if err := f.Stamp(*tenants); err != nil {
+		fail("%v", err)
+	}
+	cloneSecs := time.Since(start).Seconds()
+	fmt.Printf("stamped %d tenants in %.3fs (%.1f machines/s)\n",
+		*tenants, cloneSecs, float64(*tenants)/cloneSecs)
 	total := len(f.Tenants())
 
-	start := time.Now()
+	start = time.Now()
 	if err := f.RunWorkloads(*ops); err != nil {
 		fail("workload: %v", err)
 	}

@@ -40,28 +40,12 @@ func main() {
 	blockProfile := flag.String("blockprofile", "", "write a blocking pprof profile to this path at exit")
 	flag.Parse()
 
-	if *mutexProfile != "" || *blockProfile != "" {
-		mf, br := 0, 0
-		if *mutexProfile != "" {
-			mf = 1
+	writeProfiles := bench.StartContentionProfiles(*mutexProfile, *blockProfile)
+	defer func() {
+		if err := writeProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "protego-trace: %v\n", err)
 		}
-		if *blockProfile != "" {
-			br = 1
-		}
-		bench.EnableContentionProfiling(mf, br)
-		defer func() {
-			if *mutexProfile != "" {
-				if err := bench.DumpProfile("mutex", *mutexProfile); err != nil {
-					fmt.Fprintf(os.Stderr, "protego-trace: %v\n", err)
-				}
-			}
-			if *blockProfile != "" {
-				if err := bench.DumpProfile("block", *blockProfile); err != nil {
-					fmt.Fprintf(os.Stderr, "protego-trace: %v\n", err)
-				}
-			}
-		}()
-	}
+	}()
 
 	mode := kernel.ModeProtego
 	if *modeName == "linux" {

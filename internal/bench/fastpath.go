@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"protego/internal/kernel"
 	"protego/internal/userspace"
@@ -22,7 +21,8 @@ type FastpathReport struct {
 	Iters             int     `json:"iters"`
 	LookupColdNsPerOp float64 `json:"lookup_dcache_off_ns_per_op"`
 	LookupWarmNsPerOp float64 `json:"lookup_dcache_on_ns_per_op"`
-	// SpeedupPct is (cold-warm)/cold on the lookup loop, as a percentage.
+	// SpeedupPct is 1 - warm/cold on the lookup loop, from the median
+	// paired ratio, as a percentage.
 	SpeedupPct float64 `json:"lookup_speedup_pct"`
 	// MountFlowHitRatio is the dentry-cache hit ratio over the Figure 1
 	// mount/umount flow (the acceptance bar is > 0.90).
@@ -33,37 +33,6 @@ type FastpathReport struct {
 // statPath is the deep path the lookup loop resolves. Deep on purpose:
 // every component is a directory the walk must permission-check.
 const statPath = "/usr/share/doc/protego/fastpath/README"
-
-// lookupLoop measures the mean ns per Stat of statPath as alice.
-func lookupLoop(m *world.Machine, iters int) (float64, error) {
-	alice, err := m.Session("alice")
-	if err != nil {
-		return 0, err
-	}
-	run := func(n int) error {
-		for i := 0; i < n; i++ {
-			if _, err := m.K.Stat(alice, statPath); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := run(iters/10 + 1); err != nil { // warm-up
-		return 0, err
-	}
-	best := 0.0
-	for rep := 0; rep < microReps; rep++ { // best-of, like RunMicro
-		start := time.Now()
-		if err := run(iters); err != nil {
-			return 0, err
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / float64(iters)
-		if rep == 0 || ns < best {
-			best = ns
-		}
-	}
-	return best, nil
-}
 
 // mountFlow runs the Figure 1 flow iters times on m as alice.
 func mountFlow(m *world.Machine, iters int) error {
@@ -101,30 +70,40 @@ func buildFastpathMachine() (*world.Machine, error) {
 }
 
 // MeasureFastpath measures the lookup loop on two fresh Protego machines
-// (dentry cache disabled vs enabled), then runs the Figure 1 mount flow
-// on the cached machine and harvests its fast-path counters.
+// (dentry cache disabled vs enabled) with the paired harness, then runs
+// the Figure 1 mount flow on the cached machine and harvests its
+// fast-path counters.
 func MeasureFastpath(iters int) (*FastpathReport, error) {
 	if iters <= 0 {
 		iters = 20000
 	}
-	cold, err := buildFastpathMachine()
-	if err != nil {
-		return nil, err
+	var machines [2]*world.Machine
+	var arms [2]Arm
+	for i, name := range []string{"dcache off", "dcache on"} {
+		m, err := buildFastpathMachine()
+		if err != nil {
+			return nil, err
+		}
+		m.K.FS.SetDcacheEnabled(i == 1)
+		alice, err := m.Session("alice")
+		if err != nil {
+			return nil, err
+		}
+		machines[i] = m
+		arms[i] = Arm{Name: name, Run: nsPerOp(max(1, iters*microReps/pairRounds), func(n int) error {
+			for j := 0; j < n; j++ {
+				if _, err := m.K.Stat(alice, statPath); err != nil {
+					return err
+				}
+			}
+			return nil
+		})}
 	}
-	cold.K.FS.SetDcacheEnabled(false)
-	coldNs, err := lookupLoop(cold, iters)
+	lookup, err := Paired(pairRounds, arms[0], arms[1])
 	if err != nil {
-		return nil, fmt.Errorf("fastpath cold: %w", err)
+		return nil, fmt.Errorf("fastpath lookup: %w", err)
 	}
-
-	warm, err := buildFastpathMachine()
-	if err != nil {
-		return nil, err
-	}
-	warmNs, err := lookupLoop(warm, iters)
-	if err != nil {
-		return nil, fmt.Errorf("fastpath warm: %w", err)
-	}
+	warm := machines[1]
 
 	// Figure 1 flow on the cached machine: hit ratio over mount/umount.
 	preHits, preMisses := warm.K.FS.DcacheStats().Hits, warm.K.FS.DcacheStats().Misses
@@ -138,15 +117,12 @@ func MeasureFastpath(iters int) (*FastpathReport, error) {
 		hitRatio = float64(flowHits) / float64(flowHits+flowMisses)
 	}
 
-	rep := &FastpathReport{
+	return &FastpathReport{
 		Iters:             iters,
-		LookupColdNsPerOp: coldNs,
-		LookupWarmNsPerOp: warmNs,
+		LookupColdNsPerOp: lookup.A.Mean,
+		LookupWarmNsPerOp: lookup.B.Mean,
+		SpeedupPct:        (1 - lookup.MedianRatio) * 100,
 		MountFlowHitRatio: hitRatio,
 		Counters:          warm.K.Trace.FastpathCounters(),
-	}
-	if coldNs > 0 {
-		rep.SpeedupPct = (coldNs - warmNs) / coldNs * 100
-	}
-	return rep, nil
+	}, nil
 }

@@ -11,7 +11,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -610,128 +609,37 @@ var rootOnlyTests = map[string]bool{
 	"bind":       true,
 }
 
-// RunMicroSuite runs the whole suite on a fresh machine of the given mode.
-func RunMicroSuite(mode kernel.Mode) (map[string]float64, error) {
-	m, err := world.Build(world.Options{Mode: mode})
-	if err != nil {
-		return nil, err
+// microRows measures every microbenchmark on a baseline and a Protego
+// machine with the paired harness: pairRounds rounds of Iters/20 ops per
+// arm. Rows are in µs per op.
+func microRows() ([]Row, error) {
+	modes := [2]kernel.Mode{kernel.ModeLinux, kernel.ModeProtego}
+	var machines [2]*world.Machine
+	for i, mode := range modes {
+		m, err := world.Build(world.Options{Mode: mode})
+		if err != nil {
+			return nil, err
+		}
+		machines[i] = m
 	}
-	out := make(map[string]float64)
+	var rows []Row
 	for _, test := range MicroSuite() {
-		us, err := RunMicro(m, test, rootOnlyTests[test.Name])
+		var arms [2]Arm
+		for i, m := range machines {
+			t, err := benchSession(m, rootOnlyTests[test.Name])
+			if err != nil {
+				return nil, err
+			}
+			run := func(n int) error { return test.Run(m, t, n) }
+			arms[i] = Arm{Name: modes[i].String(), Run: nsPerOp(max(1, test.Iters*microReps/pairRounds), run)}
+		}
+		res, err := Paired(pairRounds, arms[0], arms[1])
 		if err != nil {
-			return nil, fmt.Errorf("bench %s (%s): %w", test.Name, mode, err)
+			return nil, fmt.Errorf("bench %s: %w", test.Name, err)
 		}
-		out[test.Name] = us
+		rows = append(rows, tableRow(test.Name, "us", res, 1e-3))
 	}
-	return out, nil
-}
-
-// RunMicroPairSamples measures every test on both kernels with
-// repetitions interleaved, returning full samples (mean ± 95% CI, as the
-// paper reports) rather than just the minimum.
-func RunMicroPairSamples() (linux, protego map[string]Sample, err error) {
-	lm, err := world.Build(world.Options{Mode: kernel.ModeLinux})
-	if err != nil {
-		return nil, nil, err
-	}
-	pm, err := world.Build(world.Options{Mode: kernel.ModeProtego})
-	if err != nil {
-		return nil, nil, err
-	}
-	linux = make(map[string]Sample)
-	protego = make(map[string]Sample)
-	for _, test := range MicroSuite() {
-		lt, err := benchSession(lm, rootOnlyTests[test.Name])
-		if err != nil {
-			return nil, nil, err
-		}
-		pt, err := benchSession(pm, rootOnlyTests[test.Name])
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := test.Run(lm, lt, test.Iters/10+1); err != nil {
-			return nil, nil, fmt.Errorf("bench %s (linux): %w", test.Name, err)
-		}
-		if err := test.Run(pm, pt, test.Iters/10+1); err != nil {
-			return nil, nil, fmt.Errorf("bench %s (protego): %w", test.Name, err)
-		}
-		runtime.GC()
-		lVals := make([]float64, 0, microReps)
-		pVals := make([]float64, 0, microReps)
-		for rep := 0; rep < microReps; rep++ {
-			start := time.Now()
-			if err := test.Run(lm, lt, test.Iters); err != nil {
-				return nil, nil, fmt.Errorf("bench %s (linux): %w", test.Name, err)
-			}
-			lVals = append(lVals, float64(time.Since(start).Nanoseconds())/1000/float64(test.Iters))
-			start = time.Now()
-			if err := test.Run(pm, pt, test.Iters); err != nil {
-				return nil, nil, fmt.Errorf("bench %s (protego): %w", test.Name, err)
-			}
-			pVals = append(pVals, float64(time.Since(start).Nanoseconds())/1000/float64(test.Iters))
-		}
-		linux[test.Name] = Summarize(lVals)
-		protego[test.Name] = Summarize(pVals)
-	}
-	return linux, protego, nil
-}
-
-// RunMicroPair measures every test on both kernels with repetitions
-// interleaved (Linux rep, Protego rep, ...), so allocator and GC pressure
-// land evenly on both sides — the fair-comparison discipline the paper
-// gets for free by running on separate booted kernels.
-func RunMicroPair() (linux, protego map[string]float64, err error) {
-	lm, err := world.Build(world.Options{Mode: kernel.ModeLinux})
-	if err != nil {
-		return nil, nil, err
-	}
-	pm, err := world.Build(world.Options{Mode: kernel.ModeProtego})
-	if err != nil {
-		return nil, nil, err
-	}
-	linux = make(map[string]float64)
-	protego = make(map[string]float64)
-	for _, test := range MicroSuite() {
-		lt, err := benchSession(lm, rootOnlyTests[test.Name])
-		if err != nil {
-			return nil, nil, err
-		}
-		pt, err := benchSession(pm, rootOnlyTests[test.Name])
-		if err != nil {
-			return nil, nil, err
-		}
-		// Warm both sides.
-		if err := test.Run(lm, lt, test.Iters/10+1); err != nil {
-			return nil, nil, fmt.Errorf("bench %s (linux): %w", test.Name, err)
-		}
-		if err := test.Run(pm, pt, test.Iters/10+1); err != nil {
-			return nil, nil, fmt.Errorf("bench %s (protego): %w", test.Name, err)
-		}
-		runtime.GC()
-		var lBest, pBest float64
-		for rep := 0; rep < microReps; rep++ {
-			start := time.Now()
-			if err := test.Run(lm, lt, test.Iters); err != nil {
-				return nil, nil, fmt.Errorf("bench %s (linux): %w", test.Name, err)
-			}
-			lus := float64(time.Since(start).Nanoseconds()) / 1000 / float64(test.Iters)
-			start = time.Now()
-			if err := test.Run(pm, pt, test.Iters); err != nil {
-				return nil, nil, fmt.Errorf("bench %s (protego): %w", test.Name, err)
-			}
-			pus := float64(time.Since(start).Nanoseconds()) / 1000 / float64(test.Iters)
-			if rep == 0 || lus < lBest {
-				lBest = lus
-			}
-			if rep == 0 || pus < pBest {
-				pBest = pus
-			}
-		}
-		linux[test.Name] = lBest
-		protego[test.Name] = pBest
-	}
-	return linux, protego, nil
+	return rows, nil
 }
 
 func benchSession(m *world.Machine, asRoot bool) (*kernel.Task, error) {

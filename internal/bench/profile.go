@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -12,32 +13,38 @@ import (
 // path) shows up as a named lock site in the dump instead of an
 // unexplained flat curve.
 
-// EnableContentionProfiling turns on mutex and block profiling at the
-// given sampling rates. mutexFrac is the fraction argument of
-// runtime.SetMutexProfileFraction (1 = every contended event; 0 leaves
-// mutex profiling off); blockRate is the ns threshold argument of
-// runtime.SetBlockProfileRate (1 = every blocking event; 0 leaves block
-// profiling off).
-func EnableContentionProfiling(mutexFrac, blockRate int) {
-	if mutexFrac > 0 {
-		runtime.SetMutexProfileFraction(mutexFrac)
+// StartContentionProfiles turns on mutex profiling when mutexPath is set
+// and block profiling when blockPath is set, each recording every event
+// (rate 1). The returned function writes each enabled profile to its path
+// in pprof format; call it at exit.
+func StartContentionProfiles(mutexPath, blockPath string) (write func() error) {
+	if mutexPath != "" {
+		runtime.SetMutexProfileFraction(1)
 	}
-	if blockRate > 0 {
-		runtime.SetBlockProfileRate(blockRate)
+	if blockPath != "" {
+		runtime.SetBlockProfileRate(1)
+	}
+	return func() error {
+		var err error
+		if mutexPath != "" {
+			err = writeProfile("mutex", mutexPath)
+		}
+		if blockPath != "" {
+			err = errors.Join(err, writeProfile("block", blockPath))
+		}
+		return err
 	}
 }
 
-// DumpProfile writes the named runtime profile ("mutex" or "block") to
-// path in pprof format.
-func DumpProfile(name, path string) error {
-	p := pprof.Lookup(name)
-	if p == nil {
-		return fmt.Errorf("bench: no %q profile", name)
-	}
+// writeProfile writes the named runtime profile to path in pprof format.
+func writeProfile(name, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return p.WriteTo(f, 0)
+	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
+		f.Close()
+		return fmt.Errorf("%s profile: %w", name, err)
+	}
+	return f.Close()
 }

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"protego/internal/kernel"
 	"protego/internal/seccomp"
@@ -131,81 +129,13 @@ func openCloseOp(k *kernel.Kernel, t *kernel.Task) error {
 	return k.CloseFD(t, fd)
 }
 
-// seccompArm is one measurement subject: a machine plus its session.
-type seccompArm struct {
-	m    *world.Machine
-	sess *kernel.Task
-}
-
-// timed runs one measured chunk of op over n calls.
-func (a *seccompArm) timed(n int, op func(k *kernel.Kernel, t *kernel.Task) error) (time.Duration, error) {
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := op(a.m.K, a.sess); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
-}
-
-// seccompChunks splits each repetition of the overhead measurement into
-// alternating plain/armed slices. The gate judges a few-percent delta, so
-// the two arms must sample the same load window: coarse phase-separated
-// loops resonate with anything periodic (GC cycles, cgroup throttle
-// slices) and can pin the whole disturbance onto one arm in every
-// repetition, which best-of cannot wash out.
-const seccompChunks = 20
-
-// measureOpPair times op on both arms. Within a repetition the arms
-// alternate in small chunks — and alternate which arm goes first — so a
-// disturbance lands on both or neither. The repetition with the median
-// armed-over-plain delta is reported: the gate judges the delta, and a
-// median over repetitions survives disturbance episodes that best-of-arm
-// minima (each free to come from a different repetition) do not.
-func measureOpPair(plain, armed *seccompArm, iters int, op func(k *kernel.Kernel, t *kernel.Task) error) (plainNs, armedNs float64, err error) {
-	chunk := iters / seccompChunks
-	if chunk == 0 {
-		chunk = 1
-	}
-	total := chunk * seccompChunks
-	type repSample struct{ plain, armed float64 }
-	reps := make([]repSample, 0, microReps)
-	for r := 0; r < microReps; r++ {
-		var plainTot, armedTot time.Duration
-		for c := 0; c < seccompChunks; c++ {
-			pair := [2]*seccompArm{plain, armed}
-			if c%2 == 1 {
-				pair[0], pair[1] = armed, plain
-			}
-			for _, a := range pair {
-				d, err := a.timed(chunk, op)
-				if err != nil {
-					return 0, 0, err
-				}
-				if a == plain {
-					plainTot += d
-				} else {
-					armedTot += d
-				}
-			}
-		}
-		reps = append(reps, repSample{
-			plain: float64(plainTot.Nanoseconds()) / float64(total),
-			armed: float64(armedTot.Nanoseconds()) / float64(total),
-		})
-	}
-	sort.Slice(reps, func(i, j int) bool {
-		return reps[i].armed-reps[i].plain < reps[j].armed-reps[j].plain
-	})
-	mid := reps[len(reps)/2]
-	return mid.plain, mid.armed, nil
-}
-
 // measureSeccompOverhead times the stat and open/close loops on an
-// unarmed and an armed machine and fills in the armed-over-unarmed
-// percentages.
+// unarmed and an armed machine with the paired harness, in rounds of
+// iters/20 ops, and fills in the armed-over-unarmed percentages from the
+// median per-round ratio.
 func measureSeccompOverhead(rep *SeccompReport, iters int) error {
-	arms := make([]*seccompArm, 2)
+	var machines [2]*world.Machine
+	var sessions [2]*kernel.Task
 	for i, withProfiles := range []bool{false, true} {
 		m, err := buildSeccompMachine(withProfiles)
 		if err != nil {
@@ -215,38 +145,44 @@ func measureSeccompOverhead(rep *SeccompReport, iters int) error {
 		if err != nil {
 			return err
 		}
-		arms[i] = &seccompArm{m: m, sess: sess}
+		machines[i], sessions[i] = m, sess
 	}
-	plain, armed := arms[0], arms[1]
-
-	for _, op := range []func(k *kernel.Kernel, t *kernel.Task) error{statOp, openCloseOp} {
-		for _, a := range arms { // warm dcache, sessions, and filter slots
-			if _, err := a.timed(iters/10+1, op); err != nil {
-				return fmt.Errorf("seccomp warm-up: %w", err)
-			}
+	chunk := max(1, iters*microReps/pairRounds)
+	measure := func(op func(k *kernel.Kernel, t *kernel.Task) error) (PairResult, error) {
+		var arms [2]Arm
+		for i, name := range []string{"unarmed", "armed"} {
+			k, t := machines[i].K, sessions[i]
+			arms[i] = Arm{Name: name, Run: nsPerOp(chunk, func(n int) error {
+				for j := 0; j < n; j++ {
+					if err := op(k, t); err != nil {
+						return err
+					}
+				}
+				return nil
+			})}
 		}
+		return Paired(pairRounds, arms[0], arms[1])
 	}
-	var err error
-	if rep.StatUnarmedNsPerOp, rep.StatArmedNsPerOp, err = measureOpPair(plain, armed, iters, statOp); err != nil {
+	stat, err := measure(statOp)
+	if err != nil {
 		return fmt.Errorf("stat loop: %w", err)
 	}
-	if rep.OpenUnarmedNsPerOp, rep.OpenArmedNsPerOp, err = measureOpPair(plain, armed, iters, openCloseOp); err != nil {
+	openClose, err := measure(openCloseOp)
+	if err != nil {
 		return fmt.Errorf("open/close loop: %w", err)
 	}
-	if rep.StatUnarmedNsPerOp > 0 {
-		rep.StatOverheadPct = (rep.StatArmedNsPerOp - rep.StatUnarmedNsPerOp) / rep.StatUnarmedNsPerOp * 100
-	}
-	if rep.OpenUnarmedNsPerOp > 0 {
-		rep.OpenCloseOverheadPct = (rep.OpenArmedNsPerOp - rep.OpenUnarmedNsPerOp) / rep.OpenUnarmedNsPerOp * 100
-	}
+	rep.StatUnarmedNsPerOp, rep.StatArmedNsPerOp = stat.A.Mean, stat.B.Mean
+	rep.StatOverheadPct = (stat.MedianRatio - 1) * 100
+	rep.OpenUnarmedNsPerOp, rep.OpenArmedNsPerOp = openClose.A.Mean, openClose.B.Mean
+	rep.OpenCloseOverheadPct = (openClose.MedianRatio - 1) * 100
 	rep.GatePassed = rep.StatOverheadPct < seccompGatePct && rep.OpenCloseOverheadPct < seccompGatePct
 	return nil
 }
 
 // MeasureSeccomp builds the seccomp report: the attack-surface table from
 // the committed golden profiles and the measured prologue overhead. A
-// best-of-reps loop pair can still land on a noisy scheduler slice, so a
-// failed gate is retried once before it is believed.
+// paired run can still land on a noisy scheduler episode, so a failed
+// gate is retried once before it is believed.
 func MeasureSeccomp(iters int) (*SeccompReport, error) {
 	if iters <= 0 {
 		iters = 20000
@@ -295,7 +231,7 @@ func FormatSeccomp(r *SeccompReport) string {
 			cell(row.LinuxAllowed, row.LinuxRemoved),
 			cell(row.ProtegoAllowed, row.ProtegoRemoved))
 	}
-	fmt.Fprintf(&b, "  enter() prologue overhead (%d iters, armed full-profile vs unarmed):\n", r.Iters)
+	fmt.Fprintf(&b, "  enter() prologue overhead (%d iters, armed full-profile vs unarmed; mean ns/op, median paired ratio):\n", r.Iters)
 	fmt.Fprintf(&b, "    stat:       %.1f -> %.1f ns/op (%+.2f%%)\n",
 		r.StatUnarmedNsPerOp, r.StatArmedNsPerOp, r.StatOverheadPct)
 	fmt.Fprintf(&b, "    open/close: %.1f -> %.1f ns/op (%+.2f%%)\n",

@@ -36,7 +36,7 @@ func (r *Row) OverheadPct() float64 {
 	return oh
 }
 
-// paperOverheads maps microbenchmark names to the paper's % OH column.
+// paperOverheads maps row names to the paper's % OH column.
 var paperOverheads = map[string]float64{
 	"syscall": 0.00, "read": 0.00, "write": 0.00, "stat": -2.94,
 	"open/close": 0.00, "mount/umnt": 1.13, "setuid": 1.22, "setgid": 1.22,
@@ -46,6 +46,22 @@ var paperOverheads = map[string]float64{
 	"AF_UNIX": 4.19, "Pipe": 2.23, "TCP connect": 3.05,
 	"Local TCP lat": 6.32, "Local UDP lat": 7.19,
 	"Rem. UDP lat": 6.38, "Rem. TCP lat": 7.38, "BW 64KB xfer": 2.74,
+	"Postal msgs/min": -0.04, "Kernel compile": 1.44,
+	"Web ms/req 25 conc": 3.57, "Web ms/req 50 conc": 3.85,
+	"Web ms/req 100 conc": 4.00, "Web ms/req 200 conc": 2.65,
+	"Web KB/s 25 conc": 4.05, "Web KB/s 50 conc": 3.95,
+	"Web KB/s 100 conc": 3.96, "Web KB/s 200 conc": 2.64,
+}
+
+// tableRow turns a paired run (Linux as arm A) into a Table 5 row, its
+// values multiplied by scale to reach the row's unit.
+func tableRow(name, unit string, res PairResult, scale float64) Row {
+	return Row{
+		Name: name, Unit: unit,
+		Linux: res.A.Mean * scale, LinuxCI: res.A.CI95 * scale,
+		Protego: res.B.Mean * scale, ProtegoCI: res.B.CI95 * scale,
+		PaperOverheadPct: paperOverheads[name],
+	}
 }
 
 // Table5Config scales the workloads (smaller for tests, larger for the
@@ -69,125 +85,69 @@ func DefaultTable5Config() Table5Config {
 	}
 }
 
-// RunTable5 measures every row under both kernels (microbenchmark
-// repetitions interleaved for fairness); micro rows report mean ± 95% CI.
-func RunTable5(cfg Table5Config) ([]Row, error) {
-	linuxMicro, protegoMicro, err := RunMicroPairSamples()
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	for _, test := range MicroSuite() {
-		l := linuxMicro[test.Name]
-		p := protegoMicro[test.Name]
-		rows = append(rows, Row{
-			Name:             test.Name,
-			Unit:             "us",
-			Linux:            l.Mean,
-			LinuxCI:          l.CI95,
-			Protego:          p.Mean,
-			ProtegoCI:        p.CI95,
-			PaperOverheadPct: paperOverheads[test.Name],
-		})
-	}
-	if cfg.SkipMacro {
-		return rows, nil
-	}
+// macroReps is the number of paired rounds per macro workload: a round
+// is a whole Postal, compile or web run on each kernel.
+const macroReps = 5
 
-	// Macro workloads repeat with modes interleaved (like the micro
-	// suite): one warmup run per mode is discarded, then macroReps timed
-	// runs; means ± 95% CI are reported.
-	postalRow, err := macroPair("Postal msgs/min", "msgs/min", true, -0.04, func(mode kernel.Mode) (float64, error) {
+// RunTable5 measures every row under both kernels with the paired
+// harness; rows report mean ± 95% CI.
+func RunTable5(cfg Table5Config) ([]Row, error) {
+	rows, err := microRows()
+	if err != nil || cfg.SkipMacro {
+		return rows, err
+	}
+	macro := func(name, unit string, higherBetter bool, run func(mode kernel.Mode) (float64, error)) error {
+		arm := func(mode kernel.Mode) Arm {
+			return Arm{Name: mode.String(), Run: func() (float64, error) { return run(mode) }}
+		}
+		res, err := Paired(macroReps, arm(kernel.ModeLinux), arm(kernel.ModeProtego))
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		row := tableRow(name, unit, res, 1)
+		row.HigherIsBetter = higherBetter
+		rows = append(rows, row)
+		return nil
+	}
+	if err := macro("Postal msgs/min", "msgs/min", true, func(mode kernel.Mode) (float64, error) {
 		res, err := RunPostal(mode, cfg.PostalMessages)
 		if err != nil {
 			return 0, err
 		}
 		return res.MsgsPerMin, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	rows = append(rows, postalRow)
-
-	compileRow, err := macroPair("Kernel compile", "ms", false, 1.44, func(mode kernel.Mode) (float64, error) {
+	if err := macro("Kernel compile", "ms", false, func(mode kernel.Mode) (float64, error) {
 		res, err := RunCompile(mode, cfg.CompileFiles)
 		if err != nil {
 			return 0, err
 		}
 		return float64(res.Elapsed.Microseconds()) / 1000, nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	rows = append(rows, compileRow)
-
-	msPaper := map[int]float64{25: 3.57, 50: 3.85, 100: 4.00, 200: 2.65}
-	kbPaper := map[int]float64{25: 4.05, 50: 3.95, 100: 3.96, 200: 2.64}
 	for _, conc := range cfg.WebConcurrency {
-		conc := conc
-		msRow, err := macroPair(fmt.Sprintf("Web ms/req %d conc", conc), "ms", false, msPaper[conc],
-			func(mode kernel.Mode) (float64, error) {
-				res, err := RunWeb(mode, conc, cfg.WebRequests)
-				if err != nil {
-					return 0, err
-				}
-				return res.MsPerRequest, nil
-			})
-		if err != nil {
+		if err := macro(fmt.Sprintf("Web ms/req %d conc", conc), "ms", false, func(mode kernel.Mode) (float64, error) {
+			res, err := RunWeb(mode, conc, cfg.WebRequests)
+			if err != nil {
+				return 0, err
+			}
+			return res.MsPerRequest, nil
+		}); err != nil {
 			return nil, err
 		}
-		rows = append(rows, msRow)
-		kbRow, err := macroPair(fmt.Sprintf("Web KB/s %d conc", conc), "KB/s", true, kbPaper[conc],
-			func(mode kernel.Mode) (float64, error) {
-				res, err := RunWeb(mode, conc, cfg.WebRequests)
-				if err != nil {
-					return 0, err
-				}
-				return res.TransferKBps, nil
-			})
-		if err != nil {
+		if err := macro(fmt.Sprintf("Web KB/s %d conc", conc), "KB/s", true, func(mode kernel.Mode) (float64, error) {
+			res, err := RunWeb(mode, conc, cfg.WebRequests)
+			if err != nil {
+				return 0, err
+			}
+			return res.TransferKBps, nil
+		}); err != nil {
 			return nil, err
 		}
-		rows = append(rows, kbRow)
 	}
 	return rows, nil
-}
-
-// macroReps is the number of timed macro-workload repetitions per mode.
-const macroReps = 5
-
-// macroPair runs a macro workload on both kernels with repetitions
-// interleaved and a warmup pass discarded.
-func macroPair(name, unit string, higherBetter bool, paperPct float64,
-	run func(mode kernel.Mode) (float64, error)) (Row, error) {
-	if _, err := run(kernel.ModeLinux); err != nil {
-		return Row{}, fmt.Errorf("%s warmup (linux): %w", name, err)
-	}
-	if _, err := run(kernel.ModeProtego); err != nil {
-		return Row{}, fmt.Errorf("%s warmup (protego): %w", name, err)
-	}
-	var lVals, pVals []float64
-	for rep := 0; rep < macroReps; rep++ {
-		lv, err := run(kernel.ModeLinux)
-		if err != nil {
-			return Row{}, fmt.Errorf("%s (linux): %w", name, err)
-		}
-		pv, err := run(kernel.ModeProtego)
-		if err != nil {
-			return Row{}, fmt.Errorf("%s (protego): %w", name, err)
-		}
-		lVals = append(lVals, lv)
-		pVals = append(pVals, pv)
-	}
-	l := Summarize(lVals)
-	p := Summarize(pVals)
-	return Row{
-		Name: name, Unit: unit,
-		Linux: l.Mean, LinuxCI: l.CI95,
-		Protego: p.Mean, ProtegoCI: p.CI95,
-		HigherIsBetter:   higherBetter,
-		PaperOverheadPct: paperPct,
-	}, nil
 }
 
 // FormatTable5 renders the rows in the paper's layout (Linux, +/-,

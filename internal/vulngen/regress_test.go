@@ -19,21 +19,32 @@ func TestRegressionScenarios(t *testing.T) {
 	if len(files) < int(shapeCount) {
 		t.Fatalf("found %d committed scenarios, want at least one per shape (%d)", len(files), shapeCount)
 	}
+	// Decode every scenario before the parallel subtests start, so the
+	// per-shape coverage check reads a map no subtest writes.
 	seen := map[Shape]bool{}
+	scenarios := make([]Scenario, len(files))
+	for i, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := DecodeScenario(string(data))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		scenarios[i] = sc
+		seen[sc.Shape] = true
+	}
+	for shape := Shape(0); shape < shapeCount; shape++ {
+		if !seen[shape] {
+			t.Errorf("no committed regression scenario for shape %s", shape)
+		}
+	}
 	corpus := exploits.ClassRepresentatives()
-	for _, f := range files {
-		f := f
+	for i, f := range files {
+		sc := scenarios[i]
 		t.Run(filepath.Base(f), func(t *testing.T) {
 			t.Parallel()
-			data, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := DecodeScenario(string(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen[sc.Shape] = true
 			res, err := ReplayScenario(sc, corpus, Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -43,13 +54,6 @@ func TestRegressionScenarios(t *testing.T) {
 			}
 		})
 	}
-	t.Cleanup(func() {
-		for shape := Shape(0); shape < shapeCount; shape++ {
-			if !seen[shape] {
-				t.Errorf("no committed regression scenario for shape %s", shape)
-			}
-		}
-	})
 }
 
 // The Go-literal replay form a failure report embeds: the alias-cycle
