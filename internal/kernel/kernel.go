@@ -169,12 +169,6 @@ func (k *Kernel) FaultInjector() *faultinject.Injector {
 	return k.faults.Load()
 }
 
-// faultCheck registers a hit at a syscall-entry injection site, returning
-// the injected error if one fired. Nil-injector safe and lock-free.
-func (k *Kernel) faultCheck(site string) error {
-	return k.faults.Load().Check(site)
-}
-
 // Auditf records a security-relevant event as a structured KindAudit record
 // on the trace ring. Retention is bounded by the ring capacity
 // (trace.DefaultCapacity events); older lines are overwritten, with the
@@ -397,101 +391,97 @@ func (k *Kernel) TaskCount() int {
 // error without running anything if the binary cannot be executed or the
 // LSM vetoes (e.g. a delegated transition to a non-whitelisted command,
 // which surfaces as EPERM at exec time exactly as described in §4.3).
-func (k *Kernel) Exec(t *Task, path string, argv []string, env map[string]string) (code int, err error) {
-	// The exit event is emitted when control transfers to the new image,
-	// not when the program finishes: the program's own syscalls must not
-	// nest inside the exec latency sample.
-	tok, perr := k.enter(t, SysExec)
-	fail := func(ferr error) (int, error) {
-		k.Trace.SyscallExit(tok, ferr)
-		return -1, ferr
-	}
-	if perr != nil {
-		return fail(perr)
-	}
-	clean := vfs.CleanPath(path, t.Cwd())
-	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
-	if err != nil {
-		return fail(err)
-	}
-	if !ino.Mode.IsRegular() {
-		return fail(errno.EACCES)
-	}
-	if err := vfs.CheckAccess(creds, ino, vfs.MayExec); err != nil {
-		return fail(err)
-	}
-	prog := k.LookupBinary(clean)
-	if prog == nil {
-		return fail(errno.ENOEXEC)
-	}
-	if env == nil {
-		env = copyEnv(t.Env())
-	}
-	if len(argv) == 0 {
-		// Like the Linux ELF loader, guarantee argv[0]: utilities index
-		// t.Argv() unconditionally and an empty vector is a caller bug,
-		// not something every program should have to defend against.
-		argv = []string{clean}
-	}
-	req := &lsm.ExecRequest{
-		Path:      clean,
-		Argv:      argv,
-		Env:       env,
-		SetuidBit: ino.Mode.IsSetuid(),
-		FileUID:   ino.UID,
-	}
-	update, err := k.LSM.ExecCheck(t, req)
-	if err != nil {
-		k.Auditf("exec denied: pid=%d uid=%d path=%s: %v", t.PID(), t.UID(), clean, err)
-		return fail(err)
-	}
+func (k *Kernel) Exec(t *Task, path string, argv []string, env map[string]string) (int, error) {
+	// sysCall emits the exit event before the new image runs: the
+	// program's own syscalls must not nest inside the exec latency sample.
+	prog, err := sysCall(k, t, SysExec, nil, func() (Program, error) {
+		clean := vfs.CleanPath(path, t.Cwd())
+		creds := t.credsRef()
+		ino, err := k.FS.Lookup(creds, clean)
+		if err != nil {
+			return nil, err
+		}
+		if !ino.Mode.IsRegular() {
+			return nil, errno.EACCES
+		}
+		if err := vfs.CheckAccess(creds, ino, vfs.MayExec); err != nil {
+			return nil, err
+		}
+		prog := k.LookupBinary(clean)
+		if prog == nil {
+			return nil, errno.ENOEXEC
+		}
+		if env == nil {
+			env = copyEnv(t.Env())
+		}
+		if len(argv) == 0 {
+			// Like the Linux ELF loader, guarantee argv[0]: utilities index
+			// t.Argv() unconditionally and an empty vector is a caller bug,
+			// not something every program should have to defend against.
+			argv = []string{clean}
+		}
+		req := &lsm.ExecRequest{
+			Path:      clean,
+			Argv:      argv,
+			Env:       env,
+			SetuidBit: ino.Mode.IsSetuid(),
+			FileUID:   ino.UID,
+		}
+		update, err := k.LSM.ExecCheck(t, req)
+		if err != nil {
+			k.Auditf("exec denied: pid=%d uid=%d path=%s: %v", t.PID(), t.UID(), clean, err)
+			return nil, err
+		}
 
-	newCreds := creds.Clone()
-	if ino.Mode.IsSetuid() {
-		// The setuid *bit* (§3.1): the process executes as the
-		// binary's owner regardless of who exec-ed it.
-		newCreds.EUID = ino.UID
-		newCreds.FUID = ino.UID
-		newCreds.SUID = ino.UID
-		newCreds.recomputeCaps()
-	}
-	if ino.Mode.IsSetgid() {
-		newCreds.EGID = ino.GID
-		newCreds.FGID = ino.GID
-		newCreds.SGID = ino.GID
-	}
-	if update != nil {
-		if update.UID != nil {
-			newCreds.setAllUIDs(*update.UID)
+		newCreds := creds.Clone()
+		if ino.Mode.IsSetuid() {
+			// The setuid *bit* (§3.1): the process executes as the
+			// binary's owner regardless of who exec-ed it.
+			newCreds.EUID = ino.UID
+			newCreds.FUID = ino.UID
+			newCreds.SUID = ino.UID
 			newCreds.recomputeCaps()
 		}
-		if update.GID != nil {
-			newCreds.setAllGIDs(*update.GID)
+		if ino.Mode.IsSetgid() {
+			newCreds.EGID = ino.GID
+			newCreds.FGID = ino.GID
+			newCreds.SGID = ino.GID
 		}
-		switch {
-		case update.Groups != nil:
-			newCreds.Groups = append([]int(nil), update.Groups...)
-		case update.DropGroups:
-			newCreds.Groups = nil
+		if update != nil {
+			if update.UID != nil {
+				newCreds.setAllUIDs(*update.UID)
+				newCreds.recomputeCaps()
+			}
+			if update.GID != nil {
+				newCreds.setAllGIDs(*update.GID)
+			}
+			switch {
+			case update.Groups != nil:
+				newCreds.Groups = append([]int(nil), update.Groups...)
+			case update.DropGroups:
+				newCreds.Groups = nil
+			}
 		}
-	}
 
-	t.mu.Lock()
-	t.creds = newCreds
-	t.binary = clean
-	t.argv = append([]string(nil), argv...)
-	t.env = req.Env // possibly filtered by the LSM
-	// Close-on-exec descriptors are closed, per POSIX; Protego marks the
-	// shadow file handle CLOEXEC so it cannot be inherited (§4.4).
-	for fd, f := range t.fds {
-		if f.CloseOnExec {
-			delete(t.fds, fd)
+		t.mu.Lock()
+		t.creds = newCreds
+		t.binary = clean
+		t.argv = append([]string(nil), argv...)
+		t.env = req.Env // possibly filtered by the LSM
+		// Close-on-exec descriptors are closed, per POSIX; Protego marks the
+		// shadow file handle CLOEXEC so it cannot be inherited (§4.4).
+		for fd, f := range t.fds {
+			if f.CloseOnExec {
+				delete(t.fds, fd)
+			}
 		}
-	}
-	t.mu.Unlock()
+		t.mu.Unlock()
 
-	k.Trace.SyscallExit(tok, nil)
+		return prog, nil
+	})
+	if err != nil {
+		return -1, err
+	}
 	return prog(k, t), nil
 }
 

@@ -50,58 +50,53 @@ func (k *Kernel) fileOpenHook(t *Task, path string, ino *vfs.Inode, write bool, 
 }
 
 // Open opens path and installs a descriptor in the task's fd table.
-func (k *Kernel) Open(t *Task, path string, flags int) (fd int, err error) {
-	tok, err := k.enter(t, SysOpen)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return -1, err
-	}
-	clean := vfs.CleanPath(path, t.Cwd())
-	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
-	if errno.Is(err, errno.ENOENT) && flags&O_CREAT != 0 {
-		want := vfs.MayWrite
-		ino, err = k.FS.Create(creds, clean, 0o644, creds.FUID, creds.FGID)
-		if err != nil {
+func (k *Kernel) Open(t *Task, path string, flags int) (int, error) {
+	return sysCall(k, t, SysOpen, -1, func() (int, error) {
+		clean := vfs.CleanPath(path, t.Cwd())
+		creds := t.credsRef()
+		ino, err := k.FS.Lookup(creds, clean)
+		if errno.Is(err, errno.ENOENT) && flags&O_CREAT != 0 {
+			ino, err = k.FS.Create(creds, clean, 0o644, creds.FUID, creds.FGID)
+			if err != nil {
+				return -1, err
+			}
+		} else if err != nil {
 			return -1, err
 		}
-		_ = want
-	} else if err != nil {
-		return -1, err
-	}
-	if ino.Mode.IsDir() && flags&(O_WRONLY|O_RDWR) != 0 {
-		return -1, errno.EISDIR
-	}
-	write := flags&(O_WRONLY|O_RDWR|O_APPEND|O_TRUNC) != 0
-	var want int
-	if write {
-		want = vfs.MayWrite
-	}
-	if flags&O_RDWR != 0 || flags&0x3 == O_RDONLY {
-		want |= vfs.MayRead
-	}
-	dacErr := vfs.CheckAccess(creds, ino, want)
-	if err := k.fileOpenHook(t, clean, ino, write, dacErr); err != nil {
-		return -1, err
-	}
-	if flags&O_TRUNC != 0 && ino.Mode.IsRegular() && !ino.IsProc() {
-		// A sealed inode is shared with a snapshot: truncate a private
-		// copy, never the shared one.
-		ino = k.FS.BreakSealInode(clean, ino)
-		ino.Data = nil
-	}
-	desc := &FileDesc{
-		Ino:         ino,
-		Path:        clean,
-		Flags:       flags,
-		CloseOnExec: flags&O_CLOEXEC != 0,
-	}
-	t.mu.Lock()
-	n := t.nextFD
-	t.nextFD++
-	t.fds[n] = desc
-	t.mu.Unlock()
-	return n, nil
+		if ino.Mode.IsDir() && flags&(O_WRONLY|O_RDWR) != 0 {
+			return -1, errno.EISDIR
+		}
+		write := flags&(O_WRONLY|O_RDWR|O_APPEND|O_TRUNC) != 0
+		var want int
+		if write {
+			want = vfs.MayWrite
+		}
+		if flags&O_RDWR != 0 || flags&0x3 == O_RDONLY {
+			want |= vfs.MayRead
+		}
+		dacErr := vfs.CheckAccess(creds, ino, want)
+		if err := k.fileOpenHook(t, clean, ino, write, dacErr); err != nil {
+			return -1, err
+		}
+		if flags&O_TRUNC != 0 && ino.Mode.IsRegular() && !ino.IsProc() {
+			// A sealed inode is shared with a snapshot: truncate a private
+			// copy, never the shared one.
+			ino = k.FS.BreakSealInode(clean, ino)
+			ino.Data = nil
+		}
+		desc := &FileDesc{
+			Ino:         ino,
+			Path:        clean,
+			Flags:       flags,
+			CloseOnExec: flags&O_CLOEXEC != 0,
+		}
+		t.mu.Lock()
+		n := t.nextFD
+		t.nextFD++
+		t.fds[n] = desc
+		t.mu.Unlock()
+		return n, nil
+	})
 }
 
 // fdesc resolves an fd number to its description.
@@ -116,290 +111,242 @@ func (t *Task) fdesc(fd int) (*FileDesc, error) {
 }
 
 // Read reads up to n bytes from the descriptor.
-func (k *Kernel) Read(t *Task, fd, n int) (buf []byte, err error) {
-	tok, err := k.enter(t, SysRead)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return nil, err
-	}
-	f, err := t.fdesc(fd)
-	if err != nil {
-		return nil, err
-	}
-	if f.Ino.ReadFn != nil {
-		return f.Ino.ReadFn(t.credsRef())
-	}
-	data := f.Ino.Data
-	if f.Pos >= len(data) {
-		return nil, nil // EOF
-	}
-	end := f.Pos + n
-	if end > len(data) {
-		end = len(data)
-	}
-	out := make([]byte, end-f.Pos)
-	copy(out, data[f.Pos:end])
-	f.Pos = end
-	return out, nil
+func (k *Kernel) Read(t *Task, fd, n int) ([]byte, error) {
+	return sysCall(k, t, SysRead, nil, func() ([]byte, error) {
+		f, err := t.fdesc(fd)
+		if err != nil {
+			return nil, err
+		}
+		if f.Ino.ReadFn != nil {
+			return f.Ino.ReadFn(t.credsRef())
+		}
+		data := f.Ino.Data
+		if f.Pos >= len(data) {
+			return nil, nil // EOF
+		}
+		end := f.Pos + n
+		if end > len(data) {
+			end = len(data)
+		}
+		out := make([]byte, end-f.Pos)
+		copy(out, data[f.Pos:end])
+		f.Pos = end
+		return out, nil
+	})
 }
 
 // Write writes data at the descriptor's position (or appends with O_APPEND).
-func (k *Kernel) Write(t *Task, fd int, data []byte) (n int, err error) {
-	tok, err := k.enter(t, SysWrite)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return 0, err
-	}
-	f, err := t.fdesc(fd)
-	if err != nil {
-		return 0, err
-	}
-	if f.Flags&0x3 == O_RDONLY && f.Flags&(O_APPEND|O_TRUNC) == 0 {
-		return 0, errno.EBADF
-	}
-	if f.Ino.WriteFn != nil {
-		if err := f.Ino.WriteFn(t.credsRef(), data); err != nil {
+func (k *Kernel) Write(t *Task, fd int, data []byte) (int, error) {
+	return sysCall(k, t, SysWrite, 0, func() (int, error) {
+		f, err := t.fdesc(fd)
+		if err != nil {
 			return 0, err
 		}
+		if f.Flags&0x3 == O_RDONLY && f.Flags&(O_APPEND|O_TRUNC) == 0 {
+			return 0, errno.EBADF
+		}
+		if f.Ino.WriteFn != nil {
+			if err := f.Ino.WriteFn(t.credsRef(), data); err != nil {
+				return 0, err
+			}
+			return len(data), nil
+		}
+		if f.Ino.Sealed() {
+			// The descriptor's inode is shared with a snapshot; rebind to a
+			// private copy before mutating file data. When the path entry was
+			// unlinked or replaced since open (open-unlink-write), the copy is
+			// anonymous and the write stays fd-local.
+			f.Ino = k.FS.BreakSealInode(f.Path, f.Ino)
+		}
+		if f.Flags&O_APPEND != 0 {
+			f.Ino.Data = append(f.Ino.Data, data...)
+			f.Pos = len(f.Ino.Data)
+			return len(data), nil
+		}
+		for len(f.Ino.Data) < f.Pos {
+			f.Ino.Data = append(f.Ino.Data, 0)
+		}
+		f.Ino.Data = append(f.Ino.Data[:f.Pos], data...)
+		f.Pos += len(data)
 		return len(data), nil
-	}
-	if f.Ino.Sealed() {
-		// The descriptor's inode is shared with a snapshot; rebind to a
-		// private copy before mutating file data. When the path entry was
-		// unlinked or replaced since open (open-unlink-write), the copy is
-		// anonymous and the write stays fd-local.
-		f.Ino = k.FS.BreakSealInode(f.Path, f.Ino)
-	}
-	if f.Flags&O_APPEND != 0 {
-		f.Ino.Data = append(f.Ino.Data, data...)
-		f.Pos = len(f.Ino.Data)
-		return len(data), nil
-	}
-	for len(f.Ino.Data) < f.Pos {
-		f.Ino.Data = append(f.Ino.Data, 0)
-	}
-	f.Ino.Data = append(f.Ino.Data[:f.Pos], data...)
-	f.Pos += len(data)
-	return len(data), nil
+	})
 }
 
 // CloseFD releases a descriptor.
-func (k *Kernel) CloseFD(t *Task, fd int) (err error) {
-	tok, err := k.enter(t, SysClose)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.fds[fd]; !ok {
-		return errno.EBADF
-	}
-	delete(t.fds, fd)
-	return nil
+func (k *Kernel) CloseFD(t *Task, fd int) error {
+	return sysCallErr(k, t, SysClose, func() error {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if _, ok := t.fds[fd]; !ok {
+			return errno.EBADF
+		}
+		delete(t.fds, fd)
+		return nil
+	})
 }
 
 // SetCloseOnExec marks a descriptor close-on-exec (Protego marks shadow
 // file handles this way so they cannot be inherited, §4.4).
-func (k *Kernel) SetCloseOnExec(t *Task, fd int, on bool) (err error) {
-	tok, err := k.enter(t, SysFcntl)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	f, err := t.fdesc(fd)
-	if err != nil {
-		return err
-	}
-	f.CloseOnExec = on
-	return nil
+func (k *Kernel) SetCloseOnExec(t *Task, fd int, on bool) error {
+	return sysCallErr(k, t, SysFcntl, func() error {
+		f, err := t.fdesc(fd)
+		if err != nil {
+			return err
+		}
+		f.CloseOnExec = on
+		return nil
+	})
 }
 
 // Stat returns the inode at path.
-func (k *Kernel) Stat(t *Task, path string) (ino *vfs.Inode, err error) {
-	tok, err := k.enter(t, SysStat)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return nil, err
-	}
-	return k.FS.Stat(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+func (k *Kernel) Stat(t *Task, path string) (*vfs.Inode, error) {
+	return sysCall(k, t, SysStat, nil, func() (*vfs.Inode, error) {
+		return k.FS.Stat(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+	})
 }
 
 // Access reports whether the task may access path with the given rights.
-func (k *Kernel) Access(t *Task, path string, want int) (err error) {
-	tok, err := k.enter(t, SysAccess)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	ino, err := k.FS.Stat(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
-	if err != nil {
-		return err
-	}
-	return vfs.CheckAccess(t.credsRef(), ino, want)
+func (k *Kernel) Access(t *Task, path string, want int) error {
+	return sysCallErr(k, t, SysAccess, func() error {
+		ino, err := k.FS.Stat(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+		if err != nil {
+			return err
+		}
+		return vfs.CheckAccess(t.credsRef(), ino, want)
+	})
 }
 
 // ReadFile is the open+read+close convenience used by the utilities. All
 // LSM open mediation applies.
-func (k *Kernel) ReadFile(t *Task, path string) (buf []byte, err error) {
-	tok, err := k.enter(t, SysReadFile)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return nil, err
-	}
-	clean := vfs.CleanPath(path, t.Cwd())
-	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
-	if err != nil {
-		return nil, err
-	}
-	// A directory with a read handler is a synthetic proc file rendered on
-	// read (e.g. /proc/trace); plain directories stay EISDIR.
-	if ino.Mode.IsDir() && ino.ReadFn == nil {
-		return nil, errno.EISDIR
-	}
-	dacErr := vfs.CheckAccess(creds, ino, vfs.MayRead)
-	if err := k.fileOpenHook(t, clean, ino, false, dacErr); err != nil {
-		return nil, err
-	}
-	if ino.ReadFn != nil {
-		return ino.ReadFn(creds)
-	}
-	out := make([]byte, len(ino.Data))
-	copy(out, ino.Data)
-	return out, nil
+func (k *Kernel) ReadFile(t *Task, path string) ([]byte, error) {
+	return sysCall(k, t, SysReadFile, nil, func() ([]byte, error) {
+		clean := vfs.CleanPath(path, t.Cwd())
+		creds := t.credsRef()
+		ino, err := k.FS.Lookup(creds, clean)
+		if err != nil {
+			return nil, err
+		}
+		// A directory with a read handler is a synthetic proc file rendered on
+		// read (e.g. /proc/trace); plain directories stay EISDIR.
+		if ino.Mode.IsDir() && ino.ReadFn == nil {
+			return nil, errno.EISDIR
+		}
+		dacErr := vfs.CheckAccess(creds, ino, vfs.MayRead)
+		if err := k.fileOpenHook(t, clean, ino, false, dacErr); err != nil {
+			return nil, err
+		}
+		if ino.ReadFn != nil {
+			return ino.ReadFn(creds)
+		}
+		out := make([]byte, len(ino.Data))
+		copy(out, ino.Data)
+		return out, nil
+	})
 }
 
 // WriteFile is the open+write+close convenience (creates with mode 0644
 // owned by the task's fsuid when absent). LSM open mediation applies.
-func (k *Kernel) WriteFile(t *Task, path string, data []byte) (err error) {
-	tok, err := k.enter(t, SysWriteFile)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	clean := vfs.CleanPath(path, t.Cwd())
-	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
-	if errno.Is(err, errno.ENOENT) {
-		return k.FS.WriteFile(creds, clean, data, 0o644, creds.FUID, creds.FGID)
-	}
-	if err != nil {
-		return err
-	}
-	dacErr := vfs.CheckAccess(creds, ino, vfs.MayWrite)
-	if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
-		return hookErr
-	}
-	if ino.WriteFn != nil {
-		return ino.WriteFn(creds, data)
-	}
-	// Passed mediation: perform the write as the file's own logic would.
-	return k.FS.WriteFile(vfs.RootCred, clean, data, ino.Mode, ino.UID, ino.GID)
+func (k *Kernel) WriteFile(t *Task, path string, data []byte) error {
+	return sysCallErr(k, t, SysWriteFile, func() error {
+		clean := vfs.CleanPath(path, t.Cwd())
+		creds := t.credsRef()
+		ino, err := k.FS.Lookup(creds, clean)
+		if errno.Is(err, errno.ENOENT) {
+			return k.FS.WriteFile(creds, clean, data, 0o644, creds.FUID, creds.FGID)
+		}
+		if err != nil {
+			return err
+		}
+		dacErr := vfs.CheckAccess(creds, ino, vfs.MayWrite)
+		if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
+			return hookErr
+		}
+		if ino.WriteFn != nil {
+			return ino.WriteFn(creds, data)
+		}
+		// Passed mediation: perform the write as the file's own logic would.
+		return k.FS.WriteFile(vfs.RootCred, clean, data, ino.Mode, ino.UID, ino.GID)
+	})
 }
 
 // AppendFile appends to an existing file with LSM mediation.
-func (k *Kernel) AppendFile(t *Task, path string, data []byte) (err error) {
-	tok, err := k.enter(t, SysAppendFile)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	clean := vfs.CleanPath(path, t.Cwd())
-	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
-	if err != nil {
-		return err
-	}
-	dacErr := vfs.CheckAccess(creds, ino, vfs.MayWrite)
-	if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
-		return hookErr
-	}
-	return k.FS.AppendFile(vfs.RootCred, clean, data)
+func (k *Kernel) AppendFile(t *Task, path string, data []byte) error {
+	return sysCallErr(k, t, SysAppendFile, func() error {
+		clean := vfs.CleanPath(path, t.Cwd())
+		creds := t.credsRef()
+		ino, err := k.FS.Lookup(creds, clean)
+		if err != nil {
+			return err
+		}
+		dacErr := vfs.CheckAccess(creds, ino, vfs.MayWrite)
+		if hookErr := k.fileOpenHook(t, clean, ino, true, dacErr); hookErr != nil {
+			return hookErr
+		}
+		return k.FS.AppendFile(vfs.RootCred, clean, data)
+	})
 }
 
 // Mkdir creates a directory owned by the task's fsuid.
-func (k *Kernel) Mkdir(t *Task, path string, mode vfs.Mode) (err error) {
-	tok, err := k.enter(t, SysMkdir)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
+func (k *Kernel) Mkdir(t *Task, path string, mode vfs.Mode) error {
+	return sysCallErr(k, t, SysMkdir, func() error {
+		creds := t.credsRef()
+		_, err := k.FS.Mkdir(creds, vfs.CleanPath(path, t.Cwd()), mode, creds.FUID, creds.FGID)
 		return err
-	}
-	creds := t.credsRef()
-	_, err = k.FS.Mkdir(creds, vfs.CleanPath(path, t.Cwd()), mode, creds.FUID, creds.FGID)
-	return err
+	})
 }
 
 // Unlink removes a file.
-func (k *Kernel) Unlink(t *Task, path string) (err error) {
-	tok, err := k.enter(t, SysUnlink)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	return k.FS.Remove(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+func (k *Kernel) Unlink(t *Task, path string) error {
+	return sysCallErr(k, t, SysUnlink, func() error {
+		return k.FS.Remove(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+	})
 }
 
 // Rename moves a file.
-func (k *Kernel) Rename(t *Task, oldPath, newPath string) (err error) {
-	tok, err := k.enter(t, SysRename)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	return k.FS.Rename(t.credsRef(), vfs.CleanPath(oldPath, t.Cwd()), vfs.CleanPath(newPath, t.Cwd()))
+func (k *Kernel) Rename(t *Task, oldPath, newPath string) error {
+	return sysCallErr(k, t, SysRename, func() error {
+		return k.FS.Rename(t.credsRef(), vfs.CleanPath(oldPath, t.Cwd()), vfs.CleanPath(newPath, t.Cwd()))
+	})
 }
 
 // Chmod changes permission bits.
-func (k *Kernel) Chmod(t *Task, path string, mode vfs.Mode) (err error) {
-	tok, err := k.enter(t, SysChmod)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	return k.FS.Chmod(t.credsRef(), vfs.CleanPath(path, t.Cwd()), mode)
+func (k *Kernel) Chmod(t *Task, path string, mode vfs.Mode) error {
+	return sysCallErr(k, t, SysChmod, func() error {
+		return k.FS.Chmod(t.credsRef(), vfs.CleanPath(path, t.Cwd()), mode)
+	})
 }
 
 // Chown changes ownership.
-func (k *Kernel) Chown(t *Task, path string, uid, gid int) (err error) {
-	tok, err := k.enter(t, SysChown)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	return k.FS.Chown(t.credsRef(), vfs.CleanPath(path, t.Cwd()), uid, gid)
+func (k *Kernel) Chown(t *Task, path string, uid, gid int) error {
+	return sysCallErr(k, t, SysChown, func() error {
+		return k.FS.Chown(t.credsRef(), vfs.CleanPath(path, t.Cwd()), uid, gid)
+	})
 }
 
 // ReadDir lists a directory.
-func (k *Kernel) ReadDir(t *Task, path string) (names []string, err error) {
-	tok, err := k.enter(t, SysReadDir)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return nil, err
-	}
-	return k.FS.ReadDir(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+func (k *Kernel) ReadDir(t *Task, path string) ([]string, error) {
+	return sysCall(k, t, SysReadDir, nil, func() ([]string, error) {
+		return k.FS.ReadDir(t.credsRef(), vfs.CleanPath(path, t.Cwd()))
+	})
 }
 
 // Chdir changes the working directory.
-func (k *Kernel) Chdir(t *Task, path string) (err error) {
-	tok, err := k.enter(t, SysChdir)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	clean := vfs.CleanPath(path, t.Cwd())
-	ino, err := k.FS.Lookup(t.credsRef(), clean)
-	if err != nil {
-		return err
-	}
-	if !ino.Mode.IsDir() {
-		return errno.ENOTDIR
-	}
-	if err := vfs.CheckAccess(t.credsRef(), ino, vfs.MayExec); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.cwd = clean
-	t.mu.Unlock()
-	return nil
+func (k *Kernel) Chdir(t *Task, path string) error {
+	return sysCallErr(k, t, SysChdir, func() error {
+		clean := vfs.CleanPath(path, t.Cwd())
+		ino, err := k.FS.Lookup(t.credsRef(), clean)
+		if err != nil {
+			return err
+		}
+		if !ino.Mode.IsDir() {
+			return errno.ENOTDIR
+		}
+		if err := vfs.CheckAccess(t.credsRef(), ino, vfs.MayExec); err != nil {
+			return err
+		}
+		t.mu.Lock()
+		t.cwd = clean
+		t.mu.Unlock()
+		return nil
+	})
 }

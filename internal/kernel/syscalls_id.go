@@ -13,29 +13,25 @@ import (
 
 // Getuid returns the real uid.
 func (k *Kernel) Getuid(t *Task) int {
-	tok, err := k.enter(t, SysGetuid)
-	k.Trace.SyscallExit(tok, err)
+	_ = sysCallErr(k, t, SysGetuid, noBody)
 	return t.UID()
 }
 
 // Geteuid returns the effective uid.
 func (k *Kernel) Geteuid(t *Task) int {
-	tok, err := k.enter(t, SysGeteuid)
-	k.Trace.SyscallExit(tok, err)
+	_ = sysCallErr(k, t, SysGeteuid, noBody)
 	return t.EUID()
 }
 
 // Getgid returns the real gid.
 func (k *Kernel) Getgid(t *Task) int {
-	tok, err := k.enter(t, SysGetgid)
-	k.Trace.SyscallExit(tok, err)
+	_ = sysCallErr(k, t, SysGetgid, noBody)
 	return t.GID()
 }
 
 // Getegid returns the effective gid.
 func (k *Kernel) Getegid(t *Task) int {
-	tok, err := k.enter(t, SysGetegid)
-	k.Trace.SyscallExit(tok, err)
+	_ = sysCallErr(k, t, SysGetegid, noBody)
 	return t.EGID()
 }
 
@@ -43,11 +39,13 @@ func (k *Kernel) Getegid(t *Task) int {
 // lmbench-style microbenchmark (and therefore the purest measure of the
 // trace layer's per-syscall emission cost).
 func (k *Kernel) Getpid(t *Task) int {
-	tok, err := k.enter(t, SysGetpid)
-	pid := t.PID()
-	k.Trace.SyscallExit(tok, err)
-	return pid
+	_ = sysCallErr(k, t, SysGetpid, noBody)
+	return t.PID()
 }
+
+// noBody is the get*id syscall body: the id is read after the exit event,
+// so a gate denial cannot withhold it.
+func noBody() error { return nil }
 
 // Setuid implements setuid(2) with the Protego extension. Base policy is
 // Linux's: CAP_SETUID sets all three ids; otherwise the target must equal
@@ -56,137 +54,125 @@ func (k *Kernel) Getpid(t *Task) int {
 // performs the change immediately), Deny (EPERM), or DeferToExec (success
 // is reported but the change is applied at the next exec once the target
 // binary is validated against the delegation rules).
-func (k *Kernel) Setuid(t *Task, uid int) (err error) {
-	tok, err := k.enter(t, SysSetuid)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	if uid < 0 {
-		return errno.EINVAL
-	}
-	creds := t.credsRef()
+func (k *Kernel) Setuid(t *Task, uid int) error {
+	return sysCallErr(k, t, SysSetuid, func() error {
+		if uid < 0 {
+			return errno.EINVAL
+		}
+		creds := t.credsRef()
 
-	if creds.Capable(caps.CAP_SETUID) {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.setAllUIDs(uid)
-		t.creds.recomputeCaps()
-		t.mu.Unlock()
-		return nil
-	}
-	// Unprivileged: may move the effective uid between real and saved.
-	if uid == creds.RUID || uid == creds.SUID {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.EUID = uid
-		t.creds.FUID = uid
-		t.mu.Unlock()
-		return nil
-	}
-	dec, err := k.LSM.SetuidCheck(t, uid)
-	switch dec {
-	case lsm.Grant:
-		// Restrict inheritance through granted transitions (§4.3):
-		// the caller's supplementary groups do not carry over; the
-		// kernel establishes the target's groups (the deprivileged
-		// task could not do so itself afterwards).
-		groups, _ := k.LSM.ResolveGroups(uid)
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.setAllUIDs(uid)
-		t.creds.Groups = append([]int(nil), groups...)
-		t.creds.recomputeCaps()
-		t.mu.Unlock()
-		return nil
-	case lsm.DeferToExec:
-		// Success is reported to the caller; the credential change is
-		// pending and will be validated (and applied) at exec.
-		return nil
-	default:
-		k.Auditf("setuid denied: pid=%d uid=%d target=%d", t.PID(), t.UID(), uid)
-		return denyErr(err, errno.EPERM)
-	}
+		if creds.Capable(caps.CAP_SETUID) {
+			t.mu.Lock()
+			t.creds = creds.Clone()
+			t.creds.setAllUIDs(uid)
+			t.creds.recomputeCaps()
+			t.mu.Unlock()
+			return nil
+		}
+		// Unprivileged: may move the effective uid between real and saved.
+		if uid == creds.RUID || uid == creds.SUID {
+			t.mu.Lock()
+			t.creds = creds.Clone()
+			t.creds.EUID = uid
+			t.creds.FUID = uid
+			t.mu.Unlock()
+			return nil
+		}
+		dec, err := k.LSM.SetuidCheck(t, uid)
+		switch dec {
+		case lsm.Grant:
+			// Restrict inheritance through granted transitions (§4.3):
+			// the caller's supplementary groups do not carry over; the
+			// kernel establishes the target's groups (the deprivileged
+			// task could not do so itself afterwards).
+			groups, _ := k.LSM.ResolveGroups(uid)
+			t.mu.Lock()
+			t.creds = creds.Clone()
+			t.creds.setAllUIDs(uid)
+			t.creds.Groups = append([]int(nil), groups...)
+			t.creds.recomputeCaps()
+			t.mu.Unlock()
+			return nil
+		case lsm.DeferToExec:
+			// Success is reported to the caller; the credential change is
+			// pending and will be validated (and applied) at exec.
+			return nil
+		default:
+			k.Auditf("setuid denied: pid=%d uid=%d target=%d", t.PID(), t.UID(), uid)
+			return denyErr(err, errno.EPERM)
+		}
+	})
 }
 
 // Seteuid implements seteuid(2): unprivileged tasks may set the effective
 // uid to any of the real, effective, or saved uids.
-func (k *Kernel) Seteuid(t *Task, uid int) (err error) {
-	tok, err := k.enter(t, SysSeteuid)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	creds := t.credsRef()
-	if creds.Capable(caps.CAP_SETUID) || uid == creds.RUID || uid == creds.EUID || uid == creds.SUID {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.EUID = uid
-		t.creds.FUID = uid
-		t.creds.recomputeCaps()
-		t.mu.Unlock()
-		return nil
-	}
-	return errno.EPERM
+func (k *Kernel) Seteuid(t *Task, uid int) error {
+	return sysCallErr(k, t, SysSeteuid, func() error {
+		creds := t.credsRef()
+		if creds.Capable(caps.CAP_SETUID) || uid == creds.RUID || uid == creds.EUID || uid == creds.SUID {
+			t.mu.Lock()
+			t.creds = creds.Clone()
+			t.creds.EUID = uid
+			t.creds.FUID = uid
+			t.creds.recomputeCaps()
+			t.mu.Unlock()
+			return nil
+		}
+		return errno.EPERM
+	})
 }
 
 // Setgid implements setgid(2) with the Protego extension for
 // password-protected groups (newgrp, §4.3).
-func (k *Kernel) Setgid(t *Task, gid int) (err error) {
-	tok, err := k.enter(t, SysSetgid)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	if gid < 0 {
-		return errno.EINVAL
-	}
-	creds := t.credsRef()
-	if creds.Capable(caps.CAP_SETGID) {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.setAllGIDs(gid)
-		t.mu.Unlock()
-		return nil
-	}
-	if gid == creds.RGID || gid == creds.SGID || creds.InGroup(gid) {
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.EGID = gid
-		t.creds.FGID = gid
-		t.mu.Unlock()
-		return nil
-	}
-	dec, err := k.LSM.SetgidCheck(t, gid)
-	switch dec {
-	case lsm.Grant:
-		t.mu.Lock()
-		t.creds = creds.Clone()
-		t.creds.setAllGIDs(gid)
-		t.mu.Unlock()
-		return nil
-	case lsm.DeferToExec:
-		return nil
-	default:
-		k.Auditf("setgid denied: pid=%d uid=%d target=%d", t.PID(), t.UID(), gid)
-		return denyErr(err, errno.EPERM)
-	}
+func (k *Kernel) Setgid(t *Task, gid int) error {
+	return sysCallErr(k, t, SysSetgid, func() error {
+		if gid < 0 {
+			return errno.EINVAL
+		}
+		creds := t.credsRef()
+		if creds.Capable(caps.CAP_SETGID) {
+			t.mu.Lock()
+			t.creds = creds.Clone()
+			t.creds.setAllGIDs(gid)
+			t.mu.Unlock()
+			return nil
+		}
+		if gid == creds.RGID || gid == creds.SGID || creds.InGroup(gid) {
+			t.mu.Lock()
+			t.creds = creds.Clone()
+			t.creds.EGID = gid
+			t.creds.FGID = gid
+			t.mu.Unlock()
+			return nil
+		}
+		dec, err := k.LSM.SetgidCheck(t, gid)
+		switch dec {
+		case lsm.Grant:
+			t.mu.Lock()
+			t.creds = creds.Clone()
+			t.creds.setAllGIDs(gid)
+			t.mu.Unlock()
+			return nil
+		case lsm.DeferToExec:
+			return nil
+		default:
+			k.Auditf("setgid denied: pid=%d uid=%d target=%d", t.PID(), t.UID(), gid)
+			return denyErr(err, errno.EPERM)
+		}
+	})
 }
 
 // Setgroups replaces the supplementary groups; requires CAP_SETGID.
-func (k *Kernel) Setgroups(t *Task, groups []int) (err error) {
-	tok, err := k.enter(t, SysSetgroups)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	creds := t.credsRef()
-	if !creds.Capable(caps.CAP_SETGID) {
-		return errno.EPERM
-	}
-	t.mu.Lock()
-	t.creds = creds.Clone()
-	t.creds.Groups = append([]int(nil), groups...)
-	t.mu.Unlock()
-	return nil
+func (k *Kernel) Setgroups(t *Task, groups []int) error {
+	return sysCallErr(k, t, SysSetgroups, func() error {
+		creds := t.credsRef()
+		if !creds.Capable(caps.CAP_SETGID) {
+			return errno.EPERM
+		}
+		t.mu.Lock()
+		t.creds = creds.Clone()
+		t.creds.Groups = append([]int(nil), groups...)
+		t.mu.Unlock()
+		return nil
+	})
 }

@@ -32,77 +32,68 @@ const (
 // permissive, replacing a capability check with device file permissions);
 // then the LSM mediates; then the registered device handler runs with the
 // grant decision.
-func (k *Kernel) Ioctl(t *Task, devPath string, cmd uint32, arg any) (err error) {
-	tok, err := k.enter(t, SysIoctl)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	clean := vfs.CleanPath(devPath, t.Cwd())
-	creds := t.credsRef()
-	ino, err := k.FS.Lookup(creds, clean)
-	if err != nil {
-		return err
-	}
-	if !ino.Mode.IsDevice() && !ino.IsProc() {
-		return errno.ENOTTY
-	}
-	if err := vfs.CheckAccess(creds, ino, vfs.MayRead); err != nil {
-		return err
-	}
-	req := &lsm.IoctlRequest{Path: clean, Cmd: cmd, Arg: arg}
-	dec, lerr := k.LSM.IoctlCheck(t, req)
-	if dec == lsm.Deny {
-		k.Auditf("ioctl denied by lsm: pid=%d uid=%d dev=%s cmd=%#x", t.PID(), t.UID(), clean, cmd)
-		return denyErr(lerr, errno.EPERM)
-	}
-	handler := k.lookupDevice(clean)
-	if handler == nil {
-		return errno.ENOTTY
-	}
-	return handler(t, cmd, arg, dec == lsm.Grant)
+func (k *Kernel) Ioctl(t *Task, devPath string, cmd uint32, arg any) error {
+	return sysCallErr(k, t, SysIoctl, func() error {
+		clean := vfs.CleanPath(devPath, t.Cwd())
+		creds := t.credsRef()
+		ino, err := k.FS.Lookup(creds, clean)
+		if err != nil {
+			return err
+		}
+		if !ino.Mode.IsDevice() && !ino.IsProc() {
+			return errno.ENOTTY
+		}
+		if err := vfs.CheckAccess(creds, ino, vfs.MayRead); err != nil {
+			return err
+		}
+		req := &lsm.IoctlRequest{Path: clean, Cmd: cmd, Arg: arg}
+		dec, lerr := k.LSM.IoctlCheck(t, req)
+		if dec == lsm.Deny {
+			k.Auditf("ioctl denied by lsm: pid=%d uid=%d dev=%s cmd=%#x", t.PID(), t.UID(), clean, cmd)
+			return denyErr(lerr, errno.EPERM)
+		}
+		handler := k.lookupDevice(clean)
+		if handler == nil {
+			return errno.ENOTTY
+		}
+		return handler(t, cmd, arg, dec == lsm.Grant)
+	})
 }
 
 // SigAction installs a signal handler (lmbench "sig install").
-func (k *Kernel) SigAction(t *Task, sig int, handler func(int)) (err error) {
-	tok, err := k.enter(t, SysSigAction)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	if sig <= 0 || sig > 64 {
-		return errno.EINVAL
-	}
-	t.mu.Lock()
-	t.sigHandlers[sig] = handler
-	t.mu.Unlock()
-	return nil
+func (k *Kernel) SigAction(t *Task, sig int, handler func(int)) error {
+	return sysCallErr(k, t, SysSigAction, func() error {
+		if sig <= 0 || sig > 64 {
+			return errno.EINVAL
+		}
+		t.mu.Lock()
+		t.sigHandlers[sig] = handler
+		t.mu.Unlock()
+		return nil
+	})
 }
 
 // Kill delivers a signal to the target pid. Permission follows Unix rules:
 // same real/effective uid, or CAP_KILL.
-func (k *Kernel) Kill(t *Task, pid, sig int) (err error) {
-	tok, err := k.enter(t, SysKill)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	target := k.Task(pid)
-	if target == nil {
-		return errno.ESRCH
-	}
-	tc := t.credsRef()
-	oc := target.credsRef()
-	if tc.EUID != 0 && tc.RUID != oc.RUID && tc.EUID != oc.RUID && !t.Capable(5 /* CAP_KILL */) {
-		return errno.EPERM
-	}
-	target.mu.Lock()
-	handler := target.sigHandlers[sig]
-	target.mu.Unlock()
-	if handler != nil {
-		handler(sig)
-	}
-	return nil
+func (k *Kernel) Kill(t *Task, pid, sig int) error {
+	return sysCallErr(k, t, SysKill, func() error {
+		target := k.Task(pid)
+		if target == nil {
+			return errno.ESRCH
+		}
+		tc := t.credsRef()
+		oc := target.credsRef()
+		if tc.EUID != 0 && tc.RUID != oc.RUID && tc.EUID != oc.RUID && !t.Capable(5 /* CAP_KILL */) {
+			return errno.EPERM
+		}
+		target.mu.Lock()
+		handler := target.sigHandlers[sig]
+		target.mu.Unlock()
+		if handler != nil {
+			handler(sig)
+		}
+		return nil
+	})
 }
 
 // Pipe is a unidirectional byte channel between tasks, used by the

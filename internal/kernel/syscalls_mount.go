@@ -22,72 +22,66 @@ func hasOpt(opts []string, opt string) bool {
 // LSM hook consults the in-kernel user-mount whitelist synchronized from
 // /etc/fstab and may Grant the call for an unprivileged task — the right
 // half of the paper's Figure 1.
-func (k *Kernel) Mount(t *Task, device, point, fstype string, options []string) (err error) {
-	tok, err := k.enter(t, SysMount)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
-		return err
-	}
-	req := &lsm.MountRequest{
-		Device:   device,
-		Point:    vfs.CleanPath(point, t.Cwd()),
-		FSType:   fstype,
-		Options:  append([]string(nil), options...),
-		ReadOnly: hasOpt(options, "ro"),
-	}
-	dec, err := k.LSM.MountCheck(t, req)
-	if dec == lsm.Deny {
-		k.Auditf("mount denied by lsm: pid=%d uid=%d dev=%s point=%s", t.PID(), t.UID(), device, req.Point)
-		return denyErr(err, errno.EPERM)
-	}
-	privileged := t.Capable(caps.CAP_SYS_ADMIN)
-	if !privileged && dec != lsm.Grant {
-		k.Auditf("mount denied: pid=%d uid=%d dev=%s point=%s (no CAP_SYS_ADMIN)", t.PID(), t.UID(), device, req.Point)
-		return errno.EPERM
-	}
-	// Mechanism. The attach resolves the mount point with the caller's
-	// credentials, so a user cannot mount over a directory she cannot
-	// even reach.
-	m := &vfs.Mount{
-		Device:    device,
-		Point:     req.Point,
-		FSType:    fstype,
-		Options:   req.Options,
-		ReadOnly:  req.ReadOnly,
-		MountedBy: t.UID(),
-		UserMount: !privileged,
-	}
-	return k.FS.AttachMount(t.credsRef(), m)
+func (k *Kernel) Mount(t *Task, device, point, fstype string, options []string) error {
+	return sysCallErr(k, t, SysMount, func() error {
+		req := &lsm.MountRequest{
+			Device:   device,
+			Point:    vfs.CleanPath(point, t.Cwd()),
+			FSType:   fstype,
+			Options:  append([]string(nil), options...),
+			ReadOnly: hasOpt(options, "ro"),
+		}
+		dec, err := k.LSM.MountCheck(t, req)
+		if dec == lsm.Deny {
+			k.Auditf("mount denied by lsm: pid=%d uid=%d dev=%s point=%s", t.PID(), t.UID(), device, req.Point)
+			return denyErr(err, errno.EPERM)
+		}
+		privileged := t.Capable(caps.CAP_SYS_ADMIN)
+		if !privileged && dec != lsm.Grant {
+			k.Auditf("mount denied: pid=%d uid=%d dev=%s point=%s (no CAP_SYS_ADMIN)", t.PID(), t.UID(), device, req.Point)
+			return errno.EPERM
+		}
+		// Mechanism. The attach resolves the mount point with the caller's
+		// credentials, so a user cannot mount over a directory she cannot
+		// even reach.
+		m := &vfs.Mount{
+			Device:    device,
+			Point:     req.Point,
+			FSType:    fstype,
+			Options:   req.Options,
+			ReadOnly:  req.ReadOnly,
+			MountedBy: t.UID(),
+			UserMount: !privileged,
+		}
+		return k.FS.AttachMount(t.credsRef(), m)
+	})
 }
 
 // Umount implements umount(2) under the same split: CAP_SYS_ADMIN or an
 // LSM grant (user entries in /etc/fstab are unmountable by users).
-func (k *Kernel) Umount(t *Task, point string) (err error) {
-	tok, err := k.enter(t, SysUmount)
-	defer func() { k.Trace.SyscallExit(tok, err) }()
-	if err != nil {
+func (k *Kernel) Umount(t *Task, point string) error {
+	return sysCallErr(k, t, SysUmount, func() error {
+		clean := vfs.CleanPath(point, t.Cwd())
+		existing := k.FS.MountAt(clean)
+		if existing == nil {
+			return errno.EINVAL
+		}
+		req := &lsm.UmountRequest{
+			Point:     clean,
+			Device:    existing.Device,
+			MountedBy: existing.MountedBy,
+			UserMount: existing.UserMount,
+		}
+		dec, err := k.LSM.UmountCheck(t, req)
+		if dec == lsm.Deny {
+			k.Auditf("umount denied by lsm: pid=%d uid=%d point=%s", t.PID(), t.UID(), clean)
+			return denyErr(err, errno.EPERM)
+		}
+		if !t.Capable(caps.CAP_SYS_ADMIN) && dec != lsm.Grant {
+			k.Auditf("umount denied: pid=%d uid=%d point=%s", t.PID(), t.UID(), clean)
+			return errno.EPERM
+		}
+		_, err = k.FS.DetachMount(t.credsRef(), clean)
 		return err
-	}
-	clean := vfs.CleanPath(point, t.Cwd())
-	existing := k.FS.MountAt(clean)
-	if existing == nil {
-		return errno.EINVAL
-	}
-	req := &lsm.UmountRequest{
-		Point:     clean,
-		Device:    existing.Device,
-		MountedBy: existing.MountedBy,
-		UserMount: existing.UserMount,
-	}
-	dec, err := k.LSM.UmountCheck(t, req)
-	if dec == lsm.Deny {
-		k.Auditf("umount denied by lsm: pid=%d uid=%d point=%s", t.PID(), t.UID(), clean)
-		return denyErr(err, errno.EPERM)
-	}
-	if !t.Capable(caps.CAP_SYS_ADMIN) && dec != lsm.Grant {
-		k.Auditf("umount denied: pid=%d uid=%d point=%s", t.PID(), t.UID(), clean)
-		return errno.EPERM
-	}
-	_, err = k.FS.DetachMount(t.credsRef(), clean)
-	return err
+	})
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Sysno is the kernel's syscall catalog number. Every public syscall
-// method on Kernel dispatches through the enter() prologue keyed by its
-// Sysno, which is also the bit position in a seccomp-style allowlist
+// method on Kernel runs through sysCall and its enter() prologue keyed by
+// its Sysno, which is also the bit position in a seccomp-style allowlist
 // bitmask. Names match the trace names the methods have always emitted,
 // so histograms and tooling keyed on them are unaffected by the catalog.
 type Sysno uint8
@@ -166,9 +166,8 @@ func Sysnos() []Sysno {
 
 // sysFaultSites maps a Sysno to its syscall-entry fault-injection site.
 // Only the sites the fault sweep has always covered exist; an empty entry
-// means the syscall has no entry-point injection site. The table IS the
-// prologue's fault behavior, so the per-method faultCheck boilerplate
-// could fold into enter() without changing the sweep's expectations.
+// means the syscall has no entry-point injection site. enter() checks the
+// table, so it is the whole of the entry path's fault behavior.
 var sysFaultSites = [sysnoCount]string{
 	SysOpen:      faultinject.SiteSysOpen,
 	SysRead:      faultinject.SiteSysRead,
@@ -183,19 +182,41 @@ var sysFaultSites = [sysnoCount]string{
 	SysSetuid:    faultinject.SiteSysSetuid,
 }
 
-// enter is the single syscall-entry prologue: every public syscall method
-// dispatches through it. It (1) begins the trace sample, (2) consults the
+// sysCall is the one syscall entry/exit path: every public syscall method
+// runs its body through it, and it is the only caller of enter() and
+// Trace.SyscallExit. When enter() fails the body is skipped and fail is
+// returned with the error. The exit event is emitted on every return path,
+// a panicking body included.
+func sysCall[T any](k *Kernel, t *Task, sn Sysno, fail T, body func() (T, error)) (v T, err error) {
+	tok, err := k.enter(t, sn)
+	defer func() { k.Trace.SyscallExit(tok, err) }()
+	if err != nil {
+		return fail, err
+	}
+	return body()
+}
+
+// sysCallErr is sysCall for syscalls that return only an error.
+func sysCallErr(k *Kernel, t *Task, sn Sysno, body func() error) error {
+	_, err := sysCall(k, t, sn, struct{}{}, func() (struct{}, error) { return struct{}{}, body() })
+	return err
+}
+
+// enter is the syscall-entry prologue run by sysCall. It (1) begins the
+// trace sample (a nil task is tagged pid=0 uid=-1), (2) consults the
 // TaskSyscall LSM hook when the syscall gate is armed — a Deny fails the
 // call closed with ENOSYS before any syscall work happens — and (3)
-// registers the entry-point fault-injection site. The returned token must
-// reach Trace.SyscallExit on every return path (methods defer it); a
+// registers a hit at the syscall's entry-point fault-injection site. A
 // non-nil error means the syscall body must not run.
 //
 // With the gate unarmed (no seccomp module installed — every machine
-// until the world builder opts in) the added cost over the old hand-
-// rolled prologues is one atomic load.
+// until the world builder opts in) the gate costs one atomic load.
 func (k *Kernel) enter(t *Task, sn Sysno) (trace.SyscallToken, error) {
-	tok := k.sysEnter(sn.String(), t)
+	pid, uid := 0, -1
+	if t != nil {
+		pid, uid = t.PID(), t.UID()
+	}
+	tok := k.Trace.SyscallEnter(sn.String(), pid, uid)
 	if k.sysGate.Load() && t != nil {
 		dec, err := k.LSM.TaskSyscall(t, int(sn), sn.String())
 		if dec == lsm.Deny {
@@ -205,7 +226,7 @@ func (k *Kernel) enter(t *Task, sn Sysno) (trace.SyscallToken, error) {
 		}
 	}
 	if site := sysFaultSites[sn]; site != "" {
-		if err := k.faultCheck(site); err != nil {
+		if err := k.faults.Load().Check(site); err != nil {
 			return tok, err
 		}
 	}

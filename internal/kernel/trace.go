@@ -1,20 +1,6 @@
 package kernel
 
-import (
-	"protego/internal/trace"
-	"protego/internal/vfs"
-)
-
-// sysEnter begins tracing one syscall invocation on behalf of t, tolerating
-// a nil or kernel-less task (events are then tagged pid=0 uid=-1). The
-// returned token must be handed to Trace.SyscallExit on the return path.
-func (k *Kernel) sysEnter(name string, t *Task) trace.SyscallToken {
-	pid, uid := 0, -1
-	if t != nil {
-		pid, uid = t.PID(), t.UID()
-	}
-	return k.Trace.SyscallEnter(name, pid, uid)
-}
+import "protego/internal/vfs"
 
 // Trace proc paths.
 const (

@@ -245,10 +245,13 @@ type Module interface {
 	TaskSyscall(t Task, sysno int, name string) (Decision, error)
 }
 
-// SyscallMediator marks modules whose TaskSyscall does real work. The
-// chain walks only mediators on the per-syscall hot path, so the many
-// modules keeping Base's structural no-op cost nothing there — not even
-// an interface dispatch per syscall.
+// SyscallMediator marks syscall-layer modules (seccomp-style filters),
+// whose TaskSyscall does real work. The chain walks only mediators on the
+// per-syscall hot path, so the many modules keeping Base's structural
+// no-op cost nothing there — not even an interface dispatch per syscall.
+// Conversely, a mediator is consulted on TaskSyscall and ExecCheck (where
+// it swaps per-image state) only: arming a syscall filter adds nothing to
+// the object hooks (open, mount, socket, ...) it never mediates.
 type SyscallMediator interface{ MediatesSyscall() }
 
 // Base provides no-opinion defaults for all hooks.
@@ -299,8 +302,10 @@ func combine(acc, d Decision) Decision {
 type Chain struct {
 	modules []Module
 	// sysMods is the subset of modules implementing SyscallMediator, the
-	// only ones TaskSyscall walks (see that hook's contract).
+	// only ones TaskSyscall walks (see that hook's contract); objMods is
+	// the rest, the only ones the object hooks walk.
 	sysMods []Module
+	objMods []Module
 	// tracer, when set, receives one decision event per hook evaluation
 	// (tagged with the winning module) plus per-module decision counts.
 	// It is installed once at kernel construction, before any concurrent
@@ -328,6 +333,8 @@ func (c *Chain) Register(m Module) {
 	c.modules = append(c.modules, m)
 	if _, ok := m.(SyscallMediator); ok {
 		c.sysMods = append(c.sysMods, m)
+	} else {
+		c.objMods = append(c.objMods, m)
 	}
 }
 
@@ -348,7 +355,8 @@ func (c *Chain) Name() string { return "chain" }
 
 type hookFunc func(m Module) (Decision, error)
 
-// run evaluates hook across the chain. A Deny — or an error, which is
+// run evaluates hook across the chain's object-hook modules (mediators
+// sit out; see SyscallMediator). A Deny — or an error, which is
 // treated as Deny — short-circuits; otherwise the strongest permissive
 // decision accumulates. The winning module (the denier, or the module
 // whose opinion raised the accumulator last) is reported to the tracer;
@@ -360,7 +368,7 @@ func (c *Chain) run(hook string, t Task, f hookFunc) (Decision, error) {
 	}
 	acc := NoOpinion
 	winner := ""
-	for _, m := range c.modules {
+	for _, m := range c.objMods {
 		dec, err := f(m)
 		c.count(hook, m.Name(), dec, err)
 		if dec == Deny || err != nil {

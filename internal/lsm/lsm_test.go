@@ -312,3 +312,36 @@ func TestChainRegister(t *testing.T) {
 		t.Fatal("late module ignored")
 	}
 }
+
+// mediatorModule is a syscall-layer module whose object hook would deny.
+type mediatorModule struct{ scriptedModule }
+
+func (*mediatorModule) MediatesSyscall() {}
+func (*mediatorModule) TaskSyscall(Task, int, string) (Decision, error) {
+	return Deny, nil
+}
+
+// TestChainMediatorHooks: a SyscallMediator is consulted on TaskSyscall
+// and ExecCheck only; the object hooks never reach it, not even as a
+// decision counter.
+func TestChainMediatorHooks(t *testing.T) {
+	med := &mediatorModule{scriptedModule{name: "filter", mount: Deny, execErr: errno.EPERM}}
+	c := NewChain(&scriptedModule{name: "plain", mount: Grant}, med)
+	tr := trace.New(64)
+	c.SetTracer(tr)
+	tk := &nullTask{}
+	if dec, _ := c.MountCheck(tk, &MountRequest{}); dec != Grant || med.mountCalls != 0 {
+		t.Fatalf("MountCheck = %v after %d mediator calls, want Grant and 0", dec, med.mountCalls)
+	}
+	for k := range tr.Counters() {
+		if k.Module == "filter" {
+			t.Fatalf("object hook counted the mediator: %+v", k)
+		}
+	}
+	if dec, _ := c.TaskSyscall(tk, 1, "open"); dec != Deny {
+		t.Fatalf("TaskSyscall = %v, want the mediator's Deny", dec)
+	}
+	if _, err := c.ExecCheck(tk, &ExecRequest{}); err != errno.EPERM {
+		t.Fatalf("ExecCheck err = %v, want the mediator's veto", err)
+	}
+}

@@ -32,7 +32,7 @@ type Tracer struct {
 	emitted [numKinds]atomic.Uint64
 
 	histMu sync.RWMutex
-	hists  map[string]*Histogram
+	hists  map[histKey]*Histogram
 
 	// counters maps CounterKey → sharded atomic slot (see counters.go).
 	// The map is a copy-on-write snapshot: ctrMu serializes only the
@@ -56,7 +56,7 @@ func New(capacity int) *Tracer {
 	}
 	tr := &Tracer{
 		ring:     NewRing(capacity),
-		hists:    make(map[string]*Histogram),
+		hists:    make(map[histKey]*Histogram),
 		fastpath: make(map[string]func() uint64),
 	}
 	empty := make(map[CounterKey]*ctrSlot)
@@ -236,10 +236,14 @@ func (tr *Tracer) Audit(msg string) {
 	tr.Emit(Event{Kind: KindAudit, Msg: msg})
 }
 
-// histogram returns the named histogram, creating it on first use. Names
-// are namespaced "<group>:<name>" internally.
+// histKey names one histogram. A struct key, not a "<group>:<name>"
+// string, so the per-event lookup builds nothing; Histograms renders the
+// string form at read time.
+type histKey struct{ group, name string }
+
+// histogram returns the named histogram, creating it on first use.
 func (tr *Tracer) histogram(group, name string) *Histogram {
-	key := group + ":" + name
+	key := histKey{group, name}
 	tr.histMu.RLock()
 	h := tr.hists[key]
 	tr.histMu.RUnlock()
@@ -275,15 +279,15 @@ func (tr *Tracer) SnapshotKind(k Kind) []Event {
 // Histogram returns the latency stats for one syscall (zero stats when the
 // syscall was never observed).
 func (tr *Tracer) Histogram(syscall string) HistStats {
-	return tr.histStats("syscall:" + syscall)
+	return tr.histStats(histKey{"syscall", syscall})
 }
 
 // HookHistogram returns the latency stats for one LSM hook.
 func (tr *Tracer) HookHistogram(hook string) HistStats {
-	return tr.histStats("lsm:" + hook)
+	return tr.histStats(histKey{"lsm", hook})
 }
 
-func (tr *Tracer) histStats(key string) HistStats {
+func (tr *Tracer) histStats(key histKey) HistStats {
 	tr.histMu.RLock()
 	h := tr.hists[key]
 	tr.histMu.RUnlock()
@@ -296,14 +300,14 @@ func (tr *Tracer) histStats(key string) HistStats {
 // Histograms returns every histogram's stats keyed by "<group>:<name>".
 func (tr *Tracer) Histograms() map[string]HistStats {
 	tr.histMu.RLock()
-	keys := make([]string, 0, len(tr.hists))
+	keys := make([]histKey, 0, len(tr.hists))
 	for k := range tr.hists {
 		keys = append(keys, k)
 	}
 	tr.histMu.RUnlock()
 	out := make(map[string]HistStats, len(keys))
 	for _, k := range keys {
-		out[k] = tr.histStats(k)
+		out[k.group+":"+k.name] = tr.histStats(k)
 	}
 	return out
 }

@@ -180,7 +180,7 @@ func (fs *FS) cowWriteLocked(path string, followLast bool) {
 		return
 	}
 	before := fs.cowBreaks
-	_, _ = fs.copyUpLocked(cleanedPath(path, "/"), followLast, 0)
+	_, _ = fs.copyUpLocked(CleanPath(path, "/"), followLast, 0)
 	if fs.cowBreaks != before {
 		fs.dcache.clear()
 	}
@@ -205,7 +205,7 @@ func (fs *FS) BreakSealInode(path string, ino *Inode) *Inode {
 	defer fs.mu.Unlock()
 	if fs.cow.Load() {
 		before := fs.cowBreaks
-		nino, err := fs.copyUpLocked(cleanedPath(path, "/"), true, 0)
+		nino, err := fs.copyUpLocked(CleanPath(path, "/"), true, 0)
 		if fs.cowBreaks != before {
 			fs.dcache.clear()
 		}
@@ -223,7 +223,7 @@ func (fs *FS) BreakSealInode(path string, ino *Inode) *Inode {
 // inodes at the clone's own kernel objects; on a COW file system the
 // inode is privatized first so the parent's handlers stay untouched.
 func (fs *FS) RebindProc(path string, read ProcReadFunc, write ProcWriteFunc) error {
-	clean := cleanedPath(path, "/")
+	clean := CleanPath(path, "/")
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.cowWriteLocked(clean, true)

@@ -177,14 +177,14 @@ func (fs *FS) Lookup(c Cred, path string) (*Inode, error) {
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return fs.lookupLocked(c, cleanedPath(path, "/"), true)
+	return fs.lookupLocked(c, CleanPath(path, "/"), true)
 }
 
 // LookupNoFollow resolves path without following a final symlink.
 func (fs *FS) LookupNoFollow(c Cred, path string) (*Inode, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return fs.lookupLocked(c, cleanedPath(path, "/"), false)
+	return fs.lookupLocked(c, CleanPath(path, "/"), false)
 }
 
 // Exists reports whether path resolves for credential c.
@@ -196,7 +196,7 @@ func (fs *FS) Exists(c Cred, path string) bool {
 // lookupParent resolves the parent directory of path and returns it together
 // with the base name.
 func (fs *FS) lookupParent(c Cred, path string) (*Inode, string, error) {
-	clean := cleanedPath(path, "/")
+	clean := CleanPath(path, "/")
 	dir, base := SplitPath(clean)
 	if base == "." {
 		return nil, "", errno.EINVAL
@@ -379,7 +379,7 @@ func (fs *FS) ReadFile(c Cred, path string) ([]byte, error) {
 		return nil, err
 	}
 	fs.mu.RLock()
-	ino, err := fs.lookupLocked(c, cleanedPath(path, "/"), true)
+	ino, err := fs.lookupLocked(c, CleanPath(path, "/"), true)
 	fs.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -407,7 +407,7 @@ func (fs *FS) WriteFile(c Cred, path string, data []byte, mode Mode, uid, gid in
 	if err := fs.faultCheck(faultinject.SiteVFSWriteFile); err != nil {
 		return err
 	}
-	clean := cleanedPath(path, "/")
+	clean := CleanPath(path, "/")
 	fs.mu.RLock()
 	ino, err := fs.lookupLocked(c, clean, true)
 	fs.mu.RUnlock()
@@ -424,7 +424,7 @@ func (fs *FS) WriteFile(c Cred, path string, data []byte, mode Mode, uid, gid in
 
 // AppendFile appends data to the file at path, which must exist.
 func (fs *FS) AppendFile(c Cred, path string, data []byte) error {
-	clean := cleanedPath(path, "/")
+	clean := CleanPath(path, "/")
 	fs.mu.RLock()
 	ino, err := fs.lookupLocked(c, clean, true)
 	fs.mu.RUnlock()
@@ -659,7 +659,7 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 func (fs *FS) ReadDir(c Cred, path string) ([]string, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	ino, err := fs.lookupLocked(c, cleanedPath(path, "/"), true)
+	ino, err := fs.lookupLocked(c, CleanPath(path, "/"), true)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,13 @@ import "strings"
 // CleanPath normalizes an absolute or relative slash-separated path:
 // collapsing repeated slashes, resolving "." and "..". Relative paths are
 // resolved against cwd (which must be absolute). The result is always
-// absolute and never ends in a slash (except the root itself).
+// absolute and never ends in a slash (except the root itself). A path that
+// is already clean is returned as-is after one allocation-free scan, so
+// the common case on the hot resolution path never pays for split/join.
 func CleanPath(path, cwd string) string {
+	if isCleanPath(path) {
+		return path
+	}
 	if !strings.HasPrefix(path, "/") {
 		if cwd == "" {
 			cwd = "/"
@@ -29,29 +34,15 @@ func CleanPath(path, cwd string) string {
 	return "/" + strings.Join(stack, "/")
 }
 
-// cleanedPath returns path unchanged when it is already a cleaned absolute
-// path, falling back to CleanPath otherwise. The already-clean check is a
-// single allocation-free scan, which keeps repeat lookups of clean paths
-// (the overwhelmingly common case on the hot resolution path) from paying
-// CleanPath's split/join allocations on every call.
-func cleanedPath(path, cwd string) string {
-	if isCleanPath(path) {
-		return path
-	}
-	return CleanPath(path, cwd)
-}
-
 // isCleanPath reports whether path is absolute with no empty, "." or ".."
-// components and no trailing slash (except the root itself).
+// components; a trailing slash is an empty last component, so only the
+// root itself may end in one.
 func isCleanPath(path string) bool {
 	if path == "" || path[0] != '/' {
 		return false
 	}
 	if path == "/" {
 		return true
-	}
-	if path[len(path)-1] == '/' {
-		return false
 	}
 	start := 1 // first byte of the current component
 	for i := 1; i <= len(path); i++ {

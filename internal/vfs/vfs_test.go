@@ -546,16 +546,42 @@ func TestMkdirAll(t *testing.T) {
 	}
 }
 
-// Property: CleanPath is idempotent and always produces an absolute path
-// with no ".", "..", or empty components.
+// refCleanPath is CleanPath's split/join body without the already-clean
+// shortcut: the reference the shortcut must never disagree with.
+func refCleanPath(path, cwd string) string {
+	if !strings.HasPrefix(path, "/") {
+		if cwd == "" {
+			cwd = "/"
+		}
+		path = cwd + "/" + path
+	}
+	parts := strings.Split(path, "/")
+	stack := make([]string, 0, len(parts))
+	for _, p := range parts {
+		switch p {
+		case "", ".":
+		case "..":
+			if len(stack) > 0 {
+				stack = stack[:len(stack)-1]
+			}
+		default:
+			stack = append(stack, p)
+		}
+	}
+	return "/" + strings.Join(stack, "/")
+}
+
+// Property: CleanPath equals the split/join reference, is idempotent, and
+// always produces an absolute path with no ".", "..", or empty components.
 func TestCleanPathProperties(t *testing.T) {
-	f := func(segs []string) bool {
-		path := strings.Join(segs, "/")
-		got := CleanPath(path, "/")
-		if !strings.HasPrefix(got, "/") {
+	cwds := []string{"", "/", "/home/alice", "/a/b"}
+	check := func(path, cwd string) bool {
+		got := CleanPath(path, cwd)
+		if want := refCleanPath(path, cwd); got != want {
+			t.Errorf("CleanPath(%q, %q) = %q, reference %q", path, cwd, got, want)
 			return false
 		}
-		if CleanPath(got, "/") != got {
+		if !strings.HasPrefix(got, "/") || CleanPath(got, "/") != got {
 			return false
 		}
 		for _, c := range components(got) {
@@ -565,8 +591,35 @@ func TestCleanPathProperties(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{
+		"/etc/passwd", "", "/", "//a", "/a/", "/a/./b", "/..", "a/../../b",
+	} {
+		for _, cwd := range cwds {
+			check(path, cwd)
+		}
+	}
+	// Arbitrary segments exercise odd names; segments drawn from a small
+	// alphabet of separators and dot names exercise every clean/unclean
+	// boundary the shortcut has to judge.
+	arbitrary := func(segs []string, cwd uint8) bool {
+		return check(strings.Join(segs, "/"), cwds[int(cwd)%len(cwds)])
+	}
+	alphabet := []string{"", ".", "..", "a", "b", "...", ".a"}
+	dotty := func(picks []uint8, abs bool, cwd uint8) bool {
+		segs := make([]string, len(picks))
+		for i, p := range picks {
+			segs[i] = alphabet[int(p)%len(alphabet)]
+		}
+		path := strings.Join(segs, "/")
+		if abs {
+			path = "/" + path
+		}
+		return check(path, cwds[int(cwd)%len(cwds)])
+	}
+	for _, f := range []any{arbitrary, dotty} {
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
