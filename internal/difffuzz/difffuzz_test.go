@@ -7,9 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"protego/internal/accountdb"
 	"protego/internal/kernel"
 	"protego/internal/seccomp"
 	"protego/internal/seccomp/profiles"
+	"protego/internal/vfs"
 )
 
 // runSweep executes n generated traces from the fixed seed under cfg,
@@ -244,6 +246,33 @@ func TestGeneratorDeterministic(t *testing.T) {
 		ta, tb := a.Next(), b.Next()
 		if ta.String() != tb.String() {
 			t.Fatalf("same seed diverged at trace %d", i)
+		}
+	}
+}
+
+// Fingerprint does not converge the fragment tree, so Run syncs it only
+// after utility steps. That keeps verdicts unchanged only while no other
+// op can reach the fragment directories: no file or mkdir path lies inside
+// them, and no mount point covers or sits inside them.
+func TestPoolsAvoidFragmentTree(t *testing.T) {
+	frag := []string{accountdb.PasswdsDir, accountdb.ShadowsDir, accountdb.GroupsDir}
+	paths := append(append([]string(nil), filePaths...), dirPaths...)
+	for _, p := range paths {
+		for _, dir := range frag {
+			if vfs.IsUnder(p, dir) {
+				t.Errorf("pool path %s reaches the fragment tree %s", p, dir)
+			}
+		}
+	}
+	points := append([]string(nil), umountPoints...)
+	for _, spec := range mountSpecs {
+		points = append(points, spec.point)
+	}
+	for _, p := range points {
+		for _, dir := range frag {
+			if vfs.IsUnder(p, dir) || vfs.IsUnder(dir, p) {
+				t.Errorf("mount point %s overlaps the fragment tree %s", p, dir)
+			}
 		}
 	}
 }

@@ -183,6 +183,13 @@ func Run(tr Trace, cfg Config) (*Result, error) {
 			res.Divergence = &Divergence{Step: i, Op: s.Op, Detail: out.unexplained}
 			return res, nil
 		}
+		// Utilities are the only steps that reach the fragment tree
+		// (passwd, chsh, ...). Fingerprint only reads, so converge the
+		// fragments into the legacy files the way the monitoring daemon
+		// would before comparing.
+		if s.Op == OpUtility && pro.m.Monitor != nil {
+			_ = pro.m.Monitor.SyncAccountsFromFragments()
+		}
 		proFP := pro.m.Fingerprint()
 		linFP := lin.m.Fingerprint()
 		if linFP != proFP {

@@ -107,6 +107,11 @@ func (s *Scenario) run(mode kernel.Mode) (*Outcome, error) {
 	if s.Effect != nil {
 		out.Effect = s.Effect(m)
 	}
+	// Converge the fragment tree into the legacy files, as the monitoring
+	// daemon would after the utility ran; Fingerprint only reads.
+	if m.Monitor != nil {
+		_ = m.Monitor.SyncAccountsFromFragments()
+	}
 	out.State = m.Fingerprint()
 	return out, nil
 }

@@ -111,23 +111,27 @@ func (k *Kernel) NewPipe() *Pipe {
 func (p *Pipe) Write(data []byte) (int, error) {
 	buf := make([]byte, len(data))
 	copy(buf, data)
+	t := time.NewTimer(5 * time.Second)
+	defer t.Stop()
 	select {
 	case p.ch <- buf:
 		return len(data), nil
-	case <-time.After(5 * time.Second):
+	case <-t.C:
 		return 0, errno.EPIPE
 	}
 }
 
 // Read receives the next chunk from the pipe.
 func (p *Pipe) Read(timeout time.Duration) ([]byte, error) {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case data, ok := <-p.ch:
 		if !ok {
 			return nil, errno.EPIPE
 		}
 		return data, nil
-	case <-time.After(timeout):
+	case <-t.C:
 		return nil, errno.EAGAIN
 	}
 }

@@ -241,10 +241,12 @@ func (s *Stack) Accept(sock *Socket, timeout time.Duration) (*Socket, error) {
 	if !listening {
 		return nil, errno.EINVAL
 	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case conn := <-acceptQ:
 		return conn, nil
-	case <-time.After(timeout):
+	case <-t.C:
 		return nil, errno.EAGAIN
 	}
 }
@@ -277,9 +279,11 @@ func (s *Stack) Send(sock *Socket, data []byte) (int, error) {
 		copies = 2
 	}
 	for i := 0; i < copies; i++ {
+		t := time.NewTimer(time.Second)
 		select {
 		case peer.recvQ <- pkt:
-		case <-time.After(time.Second):
+			t.Stop()
+		case <-t.C:
 			return 0, errno.ETIMEDOUT
 		}
 	}
@@ -288,13 +292,15 @@ func (s *Stack) Send(sock *Socket, data []byte) (int, error) {
 
 // Recv reads stream data from the socket, blocking up to timeout.
 func (s *Stack) Recv(sock *Socket, timeout time.Duration) ([]byte, error) {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case pkt, ok := <-sock.recvQ:
 		if !ok {
 			return nil, errno.ECONNRESET
 		}
 		return pkt.Payload, nil
-	case <-time.After(timeout):
+	case <-t.C:
 		return nil, errno.EAGAIN
 	}
 }
@@ -414,13 +420,15 @@ func (s *Stack) deliver(pkt *Packet, origin *Socket) {
 
 // RecvFrom reads a datagram, blocking up to timeout.
 func (s *Stack) RecvFrom(sock *Socket, timeout time.Duration) (*Packet, error) {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case pkt, ok := <-sock.recvQ:
 		if !ok {
 			return nil, errno.ECONNRESET
 		}
 		return pkt, nil
-	case <-time.After(timeout):
+	case <-t.C:
 		return nil, errno.EAGAIN
 	}
 }

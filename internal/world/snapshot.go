@@ -2,6 +2,7 @@ package world
 
 import (
 	"fmt"
+	"sync"
 
 	"protego/internal/accountdb"
 	"protego/internal/authsvc"
@@ -16,6 +17,11 @@ import (
 // copied up before the first write).
 type Snapshot struct {
 	src *Machine
+
+	// fp is the fingerprint index of src's sealed subtrees, built on the
+	// first Fingerprint of any clone.
+	fpOnce sync.Once
+	fp     *fpIndex
 }
 
 // Snapshot freezes the machine's file system and returns a handle for
@@ -24,6 +30,12 @@ type Snapshot struct {
 func (m *Machine) Snapshot() *Snapshot {
 	m.K.FS.Freeze()
 	return &Snapshot{src: m}
+}
+
+// index returns the snapshot's fingerprint index, building it once.
+func (s *Snapshot) index() *fpIndex {
+	s.fpOnce.Do(func() { s.fp = buildIndex(s.src) })
+	return s.fp
 }
 
 // Machine returns the golden machine backing the snapshot.
@@ -40,7 +52,7 @@ func (s *Snapshot) Machine() *Machine { return s.src }
 func (s *Snapshot) Clone() (*Machine, error) {
 	p := s.src
 	k := p.K.Clone()
-	m := &Machine{K: k, DB: accountdb.NewDB(k.FS)}
+	m := &Machine{K: k, DB: accountdb.NewDB(k.FS), snap: s}
 	m.registerDeviceHandlers()
 	if err := k.RebindTraceProc(); err != nil {
 		return nil, fmt.Errorf("world: clone trace proc: %w", err)

@@ -88,6 +88,10 @@ type Machine struct {
 	Auth     *authsvc.Service
 	DB       *accountdb.DB
 	Init     *kernel.Task
+
+	// snap is the snapshot this machine was cloned from (nil for a built
+	// machine); Fingerprint reuses its rendering of sealed subtrees.
+	snap *Snapshot
 }
 
 // Build constructs a machine image.
