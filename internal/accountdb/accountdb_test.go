@@ -1,6 +1,7 @@
 package accountdb
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -189,6 +190,62 @@ func TestDBLookups(t *testing.T) {
 	gids, err := db.GroupIDsOf("alice")
 	if err != nil || len(gids) != 1 || gids[0] != 20 {
 		t.Fatalf("alice gids: %v %v", gids, err)
+	}
+}
+
+// TestCallerOwnsResults: the parsed tables are shared by every reader of
+// the same bytes, so whatever a lookup returns is the caller's to modify
+// without changing what the next lookup sees.
+func TestCallerOwnsResults(t *testing.T) {
+	db := NewDB(newDBFS(t))
+	wantUsers, _ := ParsePasswd(samplePasswd)
+	wantGroups, _ := ParseGroup(sampleGroup)
+	scribble := func() {
+		users, err := db.Users()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range users {
+			users[i] = User{Name: "x", Shell: "/bin/evil"}
+		}
+		groups, err := db.Groups()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range groups {
+			for j := range groups[i].Members {
+				groups[i].Members[j] = "mallory"
+			}
+			groups[i].Members = append(groups[i].Members, "mallory")
+			groups[i].GID = -1
+		}
+		u, _ := db.LookupUser("alice")
+		u.Shell = "/bin/evil" // as vipw edits the record it looked up
+		u, _ = db.LookupUID(1001)
+		u.UID = 0
+		byName, _ := db.LookupGroup("users")
+		byGID, _ := db.LookupGID(20)
+		for _, g := range []*Group{byName, byGID} {
+			g.Members[0] = "mallory"
+			g.Name = "wheel"
+		}
+	}
+	for round := 0; round < 2; round++ {
+		scribble()
+		users, err := db.Users()
+		if err != nil || !reflect.DeepEqual(users, wantUsers) {
+			t.Fatalf("round %d: users %+v %v", round, users, err)
+		}
+		groups, err := db.Groups()
+		if err != nil || !reflect.DeepEqual(groups, wantGroups) {
+			t.Fatalf("round %d: groups %+v %v", round, groups, err)
+		}
+		if u, _ := db.LookupUser("alice"); *u != wantUsers[1] {
+			t.Fatalf("round %d: alice %+v", round, u)
+		}
+		if g, _ := db.LookupGID(100); !reflect.DeepEqual(*g, wantGroups[1]) {
+			t.Fatalf("round %d: users group %+v", round, g)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package accountdb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"protego/internal/errno"
@@ -23,6 +24,11 @@ const (
 // DB reads the account databases from a simulated file system. Reads are
 // performed with kernel (root) credentials: the DB is consulted by the
 // kernel's LSM and trusted services, never directly by untrusted tasks.
+//
+// Every file is read on every call, but parsed only when its bytes differ
+// from the last parse of that inode (vfs.FS.ReadFileParsed), so the parsed
+// tables are shared by every DB, machine and clone that reads the same
+// bytes. Exported results are therefore copies the caller owns.
 type DB struct {
 	fs *vfs.FS
 }
@@ -30,18 +36,74 @@ type DB struct {
 // NewDB creates a database view over fs.
 func NewDB(fs *vfs.FS) *DB { return &DB{fs: fs} }
 
-// Users returns all passwd records (from the legacy shared file).
-func (db *DB) Users() ([]User, error) {
-	data, err := db.fs.ReadFile(vfs.RootCred, PasswdFile)
+// format is one account-file syntax: its parser and the memo key that
+// names it.
+type format[T any] struct {
+	key   string
+	parse func(string) ([]T, error)
+}
+
+var (
+	passwdFormat = format[User]{"passwd", ParsePasswd}
+	shadowFormat = format[ShadowEntry]{"shadow", ParseShadow}
+	groupFormat  = format[Group]{"group", ParseGroup}
+)
+
+// table is one memoized parse: the records, or the error the parse
+// failed with. The records are shared; never modify them.
+type table[T any] struct {
+	rows []T
+	err  error
+}
+
+// read reads path in format f. The error is the read's; a parse error is
+// in the table.
+func (f format[T]) read(fs *vfs.FS, path string) (table[T], error) {
+	v, err := fs.ReadFileParsed(vfs.RootCred, path, f.key, func(data string) any {
+		rows, err := f.parse(data)
+		return table[T]{rows, err}
+	})
+	if err != nil {
+		return table[T]{}, err
+	}
+	return v.(table[T]), nil
+}
+
+// rows returns the shared records of path in format f, or the read or
+// parse error.
+func (f format[T]) rows(fs *vfs.FS, path string) ([]T, error) {
+	t, err := f.read(fs, path)
 	if err != nil {
 		return nil, err
 	}
-	return ParsePasswd(string(data))
+	return t.rows, t.err
 }
 
-// LookupUser finds a user by name.
-func (db *DB) LookupUser(name string) (*User, error) {
-	users, err := db.Users()
+// own returns the caller's copy of a shared record.
+func own[T any](r *T) *T {
+	c := *r
+	return &c
+}
+
+// ownGroup returns the caller's copy of a shared group, members included.
+func ownGroup(g *Group) *Group {
+	c := own(g)
+	c.Members = slices.Clone(g.Members)
+	return c
+}
+
+// Users returns all passwd records (from the legacy shared file).
+func (db *DB) Users() ([]User, error) {
+	users, err := passwdFormat.rows(db.fs, PasswdFile)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(users), nil
+}
+
+// user finds the shared record of the named user.
+func (db *DB) user(name string) (*User, error) {
+	users, err := passwdFormat.rows(db.fs, PasswdFile)
 	if err != nil {
 		return nil, err
 	}
@@ -53,15 +115,24 @@ func (db *DB) LookupUser(name string) (*User, error) {
 	return nil, errno.ENOENT
 }
 
+// LookupUser finds a user by name.
+func (db *DB) LookupUser(name string) (*User, error) {
+	u, err := db.user(name)
+	if err != nil {
+		return nil, err
+	}
+	return own(u), nil
+}
+
 // LookupUID finds a user by uid.
 func (db *DB) LookupUID(uid int) (*User, error) {
-	users, err := db.Users()
+	users, err := passwdFormat.rows(db.fs, PasswdFile)
 	if err != nil {
 		return nil, err
 	}
 	for i := range users {
 		if users[i].UID == uid {
-			return &users[i], nil
+			return own(&users[i]), nil
 		}
 	}
 	return nil, errno.ENOENT
@@ -69,22 +140,26 @@ func (db *DB) LookupUID(uid int) (*User, error) {
 
 // Groups returns all group records.
 func (db *DB) Groups() ([]Group, error) {
-	data, err := db.fs.ReadFile(vfs.RootCred, GroupFile)
+	groups, err := groupFormat.rows(db.fs, GroupFile)
 	if err != nil {
 		return nil, err
 	}
-	return ParseGroup(string(data))
+	out := slices.Clone(groups)
+	for i := range out {
+		out[i].Members = slices.Clone(out[i].Members)
+	}
+	return out, nil
 }
 
 // LookupGroup finds a group by name.
 func (db *DB) LookupGroup(name string) (*Group, error) {
-	groups, err := db.Groups()
+	groups, err := groupFormat.rows(db.fs, GroupFile)
 	if err != nil {
 		return nil, err
 	}
 	for i := range groups {
 		if groups[i].Name == name {
-			return &groups[i], nil
+			return ownGroup(&groups[i]), nil
 		}
 	}
 	return nil, errno.ENOENT
@@ -92,13 +167,13 @@ func (db *DB) LookupGroup(name string) (*Group, error) {
 
 // LookupGID finds a group by gid.
 func (db *DB) LookupGID(gid int) (*Group, error) {
-	groups, err := db.Groups()
+	groups, err := groupFormat.rows(db.fs, GroupFile)
 	if err != nil {
 		return nil, err
 	}
 	for i := range groups {
 		if groups[i].GID == gid {
-			return &groups[i], nil
+			return ownGroup(&groups[i]), nil
 		}
 	}
 	return nil, errno.ENOENT
@@ -107,11 +182,11 @@ func (db *DB) LookupGID(gid int) (*Group, error) {
 // GroupNamesOf returns the names of the groups user belongs to (primary
 // group plus memberships).
 func (db *DB) GroupNamesOf(user string) ([]string, error) {
-	u, err := db.LookupUser(user)
+	u, err := db.user(user)
 	if err != nil {
 		return nil, err
 	}
-	groups, err := db.Groups()
+	groups, err := groupFormat.rows(db.fs, GroupFile)
 	if err != nil {
 		return nil, err
 	}
@@ -122,11 +197,8 @@ func (db *DB) GroupNamesOf(user string) ([]string, error) {
 			names = append(names, g.Name)
 			continue
 		}
-		for _, m := range g.Members {
-			if m == user {
-				names = append(names, g.Name)
-				break
-			}
+		if slices.Contains(g.Members, user) {
+			names = append(names, g.Name)
 		}
 	}
 	return names, nil
@@ -134,25 +206,19 @@ func (db *DB) GroupNamesOf(user string) ([]string, error) {
 
 // GroupIDsOf returns the supplementary gids of user (excluding the primary).
 func (db *DB) GroupIDsOf(user string) ([]int, error) {
-	u, err := db.LookupUser(user)
+	u, err := db.user(user)
 	if err != nil {
 		return nil, err
 	}
-	groups, err := db.Groups()
+	groups, err := groupFormat.rows(db.fs, GroupFile)
 	if err != nil {
 		return nil, err
 	}
 	var gids []int
 	for i := range groups {
 		g := &groups[i]
-		if g.GID == u.GID {
-			continue
-		}
-		for _, m := range g.Members {
-			if m == user {
-				gids = append(gids, g.GID)
-				break
-			}
+		if g.GID != u.GID && slices.Contains(g.Members, user) {
+			gids = append(gids, g.GID)
 		}
 	}
 	return gids, nil
@@ -162,17 +228,10 @@ func (db *DB) GroupIDsOf(user string) ([]int, error) {
 // fragmented per-user file first and falling back to the legacy shared
 // shadow file.
 func (db *DB) ShadowHash(user string) (string, error) {
-	if data, err := db.fs.ReadFile(vfs.RootCred, ShadowsDir+"/"+user); err == nil {
-		entries, perr := ParseShadow(string(data))
-		if perr == nil && len(entries) == 1 {
-			return entries[0].Hash, nil
-		}
+	if entries, err := shadowFormat.rows(db.fs, ShadowsDir+"/"+user); err == nil && len(entries) == 1 {
+		return entries[0].Hash, nil
 	}
-	data, err := db.fs.ReadFile(vfs.RootCred, ShadowFile)
-	if err != nil {
-		return "", err
-	}
-	entries, err := ParseShadow(string(data))
+	entries, err := shadowFormat.rows(db.fs, ShadowFile)
 	if err != nil {
 		return "", err
 	}
@@ -194,15 +253,15 @@ func (db *DB) ShadowHash(user string) (string, error) {
 // accounts. Existing fragments are overwritten from the shared files (the
 // shared files remain authoritative at fragmentation time).
 func Fragment(fs *vfs.FS) error {
-	users, err := readUsers(fs)
+	users, err := passwdFormat.rows(fs, PasswdFile)
 	if err != nil {
 		return err
 	}
-	shadow, err := readShadow(fs)
+	shadow, err := shadowFormat.rows(fs, ShadowFile)
 	if err != nil {
 		return err
 	}
-	groups, err := readGroups(fs)
+	groups, err := groupFormat.rows(fs, GroupFile)
 	if err != nil {
 		return err
 	}
@@ -255,82 +314,22 @@ func writeFragment(fs *vfs.FS, path, content string, mode vfs.Mode, uid, gid int
 	return fs.Chmod(vfs.RootCred, path, mode)
 }
 
-func readUsers(fs *vfs.FS) ([]User, error) {
-	data, err := fs.ReadFile(vfs.RootCred, PasswdFile)
-	if err != nil {
-		return nil, err
-	}
-	return ParsePasswd(string(data))
-}
-
-func readShadow(fs *vfs.FS) ([]ShadowEntry, error) {
-	data, err := fs.ReadFile(vfs.RootCred, ShadowFile)
-	if err != nil {
-		return nil, err
-	}
-	return ParseShadow(string(data))
-}
-
-func readGroups(fs *vfs.FS) ([]Group, error) {
-	data, err := fs.ReadFile(vfs.RootCred, GroupFile)
-	if err != nil {
-		return nil, err
-	}
-	return ParseGroup(string(data))
-}
-
 // SynthesizeLegacy rebuilds the shared /etc/passwd, /etc/shadow, and
 // /etc/group files from the per-account fragments — the backward
 // compatibility direction maintained by the monitoring daemon so
 // applications that read the legacy formats keep working (§2).
 func SynthesizeLegacy(fs *vfs.FS) error {
-	var users []User
-	var shadows []ShadowEntry
-	var groups []Group
-	names, err := fs.ReadDir(vfs.RootCred, PasswdsDir)
+	users, err := readFragments(fs, PasswdsDir, passwdFormat, "fragment")
 	if err != nil {
 		return err
 	}
-	for _, name := range names {
-		data, err := fs.ReadFile(vfs.RootCred, PasswdsDir+"/"+name)
-		if err != nil {
-			return err
-		}
-		us, err := ParsePasswd(string(data))
-		if err != nil {
-			return fmt.Errorf("synthesize: fragment %s: %w", name, err)
-		}
-		users = append(users, us...)
-	}
-	shadowNames, err := fs.ReadDir(vfs.RootCred, ShadowsDir)
+	shadows, err := readFragments(fs, ShadowsDir, shadowFormat, "shadow fragment")
 	if err != nil {
 		return err
 	}
-	for _, name := range shadowNames {
-		data, err := fs.ReadFile(vfs.RootCred, ShadowsDir+"/"+name)
-		if err != nil {
-			return err
-		}
-		es, err := ParseShadow(string(data))
-		if err != nil {
-			return fmt.Errorf("synthesize: shadow fragment %s: %w", name, err)
-		}
-		shadows = append(shadows, es...)
-	}
-	groupNames, err := fs.ReadDir(vfs.RootCred, GroupsDir)
+	groups, err := readFragments(fs, GroupsDir, groupFormat, "group fragment")
 	if err != nil {
 		return err
-	}
-	for _, name := range groupNames {
-		data, err := fs.ReadFile(vfs.RootCred, GroupsDir+"/"+name)
-		if err != nil {
-			return err
-		}
-		gs, err := ParseGroup(string(data))
-		if err != nil {
-			return fmt.Errorf("synthesize: group fragment %s: %w", name, err)
-		}
-		groups = append(groups, gs...)
 	}
 	// An empty fragment set means the tree was never (or only partially)
 	// populated; rebuilding from it would wipe every account. Fail instead
@@ -345,6 +344,27 @@ func SynthesizeLegacy(fs *vfs.FS) error {
 		return err
 	}
 	return writeIfChanged(fs, GroupFile, FormatGroup(groups), 0o644, 0, 0)
+}
+
+// readFragments returns the records of every fragment in dir, in name
+// order, as a slice of their own.
+func readFragments[T any](fs *vfs.FS, dir string, f format[T], what string) ([]T, error) {
+	names, err := fs.ReadDir(vfs.RootCred, dir)
+	if err != nil {
+		return nil, err
+	}
+	var all []T
+	for _, name := range names {
+		t, err := f.read(fs, dir+"/"+name)
+		if err != nil {
+			return nil, err
+		}
+		if t.err != nil {
+			return nil, fmt.Errorf("synthesize: %s %s: %w", what, name, t.err)
+		}
+		all = append(all, t.rows...)
+	}
+	return all, nil
 }
 
 // writeIfChanged writes content to path only when it differs, keeping the

@@ -18,10 +18,12 @@ type DiffFuzzReport struct {
 	Traces  int     `json:"traces"`
 	Steps   int     `json:"steps"`
 	Seconds float64 `json:"seconds"`
-	// TracesPerSec is the snapshot-clone throughput (each trace stamps a
-	// COW clone pair from the golden images); FreshBootTracesPerSec is
-	// the same workload paying a full world.Build per machine, measured
-	// on a small sample so the report carries the before/after numbers.
+	// TracesPerSec is the snapshot-clone throughput of the sweep (each
+	// trace stamps a COW clone pair from the golden images).
+	// FreshBootTracesPerSec is the throughput of a small sample of the
+	// same traces paying a full world.Build per machine, and
+	// SnapshotSpeedup the median per-round fresh/snapshot time ratio of
+	// that sample under the paired harness.
 	TracesPerSec           float64 `json:"traces_per_sec"`
 	StepsPerSec            float64 `json:"steps_per_sec"`
 	FreshBootTracesPerSec  float64 `json:"fresh_boot_traces_per_sec"`
@@ -39,6 +41,11 @@ type DiffFuzzReport struct {
 func (r *DiffFuzzReport) Clean() bool {
 	return r.UnexplainedDivergences == 0 && r.InvariantViolations == 0
 }
+
+// diffFuzzRounds is the paired round count of the snapshot-speedup
+// measurement, each round the whole sample once on fresh boots and once
+// on snapshot clones.
+const diffFuzzRounds = 5
 
 // RunDiffFuzz executes n generated traces from seed and aggregates the
 // outcome. Unlike the test sweep it keeps going past failures so the
@@ -79,29 +86,33 @@ func RunDiffFuzz(n int, seed int64) (*DiffFuzzReport, error) {
 		rep.StepsPerSec = float64(rep.Steps) / rep.Seconds
 	}
 
-	// Fresh-boot baseline on a sample of the same trace stream: enough
-	// traces to amortize noise, few enough that the bench stays quick.
-	freshN := n / 10
-	if freshN < 3 {
-		freshN = 3
+	// Snapshot speedup: the paired harness runs one sample of the same
+	// trace stream on fresh-booted and on snapshot-cloned machine pairs,
+	// enough traces to amortize noise, few enough that the bench stays
+	// quick.
+	sample := make([]difffuzz.Trace, min(max(n/10, 3), n))
+	sgen := difffuzz.NewGenerator(seed)
+	for i := range sample {
+		sample[i] = sgen.Next()
 	}
-	if freshN > n {
-		freshN = n
+	arm := func(name string, cfg difffuzz.Config) Arm {
+		return Arm{Name: name, Run: nsPerOp(len(sample), func(int) error {
+			for i, tr := range sample {
+				if _, err := difffuzz.Run(tr, cfg); err != nil {
+					return fmt.Errorf("trace %d: %v", i, err)
+				}
+			}
+			return nil
+		})}
 	}
-	fgen := difffuzz.NewGenerator(seed)
-	fstart := time.Now()
-	for i := 0; i < freshN; i++ {
-		tr := fgen.Next()
-		if _, err := difffuzz.Run(tr, difffuzz.Config{FreshBoot: true, SeccompAudit: audit}); err != nil {
-			return nil, fmt.Errorf("fresh-boot trace %d: %v", i, err)
-		}
+	res, err := Paired(diffFuzzRounds,
+		arm("fresh boot", difffuzz.Config{FreshBoot: true, SeccompAudit: audit}),
+		arm("snapshot", cfg))
+	if err != nil {
+		return nil, err
 	}
-	if secs := time.Since(fstart).Seconds(); secs > 0 {
-		rep.FreshBootTracesPerSec = float64(freshN) / secs
-	}
-	if rep.FreshBootTracesPerSec > 0 {
-		rep.SnapshotSpeedup = rep.TracesPerSec / rep.FreshBootTracesPerSec
-	}
+	rep.FreshBootTracesPerSec = 1e9 / res.A.Mean
+	rep.SnapshotSpeedup = 1 / res.MedianRatio
 	return rep, nil
 }
 

@@ -14,8 +14,8 @@ import (
 // on a mutated baseline/Protego golden-snapshot pair with per-replay
 // containment checking.
 type VulngenReport struct {
-	Seed         int64   `json:"seed"`
-	Environments int     `json:"environments"`
+	Seed         int64 `json:"seed"`
+	Environments int   `json:"environments"`
 	// Replays counts CVE replays (each a fresh clone pair of the mutated
 	// environment).
 	Replays int     `json:"replays"`

@@ -15,6 +15,8 @@ package vfs
 
 import (
 	"maps"
+	"slices"
+	"strings"
 
 	"protego/internal/errno"
 )
@@ -92,10 +94,11 @@ func (fs *FS) Clone() *FS {
 
 // cowCopy returns a private, unsealed shallow copy of the inode.
 // Directory children maps are cloned (entries still point at shared
-// inodes); file data shares the backing array with capacity clamped to
-// length, so an append by either side reallocates instead of scribbling
-// on bytes the other can read. Fields are read under ino.mu: a sibling
-// machine's ReadFile may be bumping Atime on the shared inode.
+// inodes); file data is copied, because a descriptor write overwrites
+// Data in place and must not scribble on bytes the other side can read.
+// The parse memo carries over, so the copy reuses the parse until its
+// bytes change; it is read under ino.mu because a sibling machine's
+// ReadFileParsed may be storing one.
 func (ino *Inode) cowCopy() *Inode {
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
@@ -113,13 +116,12 @@ func (ino *Inode) cowCopy() *Inode {
 		Atime:   ino.Atime,
 		Mtime:   ino.Mtime,
 		Ctime:   ino.Ctime,
+		memo:    ino.memo,
 	}
 	if ino.children != nil {
 		cp.children = maps.Clone(ino.children)
 	}
-	if ino.Data != nil {
-		cp.Data = ino.Data[:len(ino.Data):len(ino.Data)]
-	}
+	cp.Data = slices.Clone(ino.Data)
 	return cp
 }
 
@@ -137,8 +139,8 @@ func (fs *FS) copyUpLocked(path string, followLast bool, depth int) (*Inode, err
 		fs.cowBreaks++
 	}
 	cur := fs.root
-	comps := components(path)
-	for i, name := range comps {
+	for rest := path[1:]; rest != ""; {
+		name, after, more := strings.Cut(rest, "/")
 		if !cur.Mode.IsDir() {
 			return nil, errno.ENOTDIR
 		}
@@ -146,17 +148,8 @@ func (fs *FS) copyUpLocked(path string, followLast bool, depth int) (*Inode, err
 		if !ok {
 			return nil, errno.ENOENT
 		}
-		last := i == len(comps)-1
-		if next.Mode.IsSymlink() && (!last || followLast) {
-			target := CleanPath(string(next.Data), "/"+joinComps(comps[:i]))
-			if rest := joinComps(comps[i+1:]); rest != "" {
-				if target == "/" {
-					target = "/" + rest
-				} else {
-					target = target + "/" + rest
-				}
-			}
-			return fs.copyUpLocked(target, followLast, depth+1)
+		if next.Mode.IsSymlink() && (more || followLast) {
+			return fs.copyUpLocked(linkTarget(next, path, rest, after), followLast, depth+1)
 		}
 		if next.sealed.Load() {
 			next = next.cowCopy()
@@ -164,6 +157,7 @@ func (fs *FS) copyUpLocked(path string, followLast bool, depth int) (*Inode, err
 			fs.cowBreaks++
 		}
 		cur = next
+		rest = after
 	}
 	return cur, nil
 }

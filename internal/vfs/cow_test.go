@@ -98,3 +98,63 @@ func TestBreakSealInodeReplaced(t *testing.T) {
 		t.Fatalf("fd write landed on the file now occupying the path: %q", data)
 	}
 }
+
+// TestReadFileParsedMemo: a parse is reused only for the same key on the
+// same bytes, whether the bytes change through WriteFile or in place (as
+// a descriptor write does); clones reuse the snapshot's parse until they
+// write their own copy, and proc files are parsed on every read.
+func TestReadFileParsedMemo(t *testing.T) {
+	parent, clone, ino := frozenPair(t, "/f")
+	parses := 0
+	read := func(fs *FS, key string) string {
+		t.Helper()
+		v, err := fs.ReadFileParsed(RootCred, "/f", key, func(data string) any {
+			parses++
+			return key + ":" + data
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.(string)
+	}
+	step := func(fs *FS, key, want string, wantParses int) {
+		t.Helper()
+		if got := read(fs, key); got != want || parses != wantParses {
+			t.Fatalf("got %q after %d parses, want %q after %d", got, parses, want, wantParses)
+		}
+	}
+	step(clone, "a", "a:golden", 1)
+	step(parent, "a", "a:golden", 1) // shared sealed inode
+	step(clone, "b", "b:golden", 2)  // another key parses again
+	step(clone, "b", "b:golden", 2)
+
+	if err := clone.WriteFile(RootCred, "/f", []byte("edited"), 0o644, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	step(clone, "b", "b:edited", 3)
+	step(parent, "b", "b:golden", 3) // the copy-up kept the old parse
+	if ino.memo == nil || ino.memo.raw != "golden" {
+		t.Fatal("the clone's write touched the shared inode's memo")
+	}
+
+	priv, err := clone.Lookup(RootCred, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	priv.Data[0] = 'E' // an in-place write, same length
+	step(clone, "b", "b:Edited", 4)
+
+	var stored string
+	if _, err := parent.CreateProc("/p", 0o644, func(Cred) ([]byte, error) { return []byte(stored), nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		v, err := parent.ReadFileParsed(RootCred, "/p", "a", func(data string) any { parses++; return data })
+		if err != nil || v.(string) != stored {
+			t.Fatalf("proc read: %v %v", v, err)
+		}
+	}
+	if parses != 6 {
+		t.Fatalf("proc file memoized: %d parses, want 6", parses)
+	}
+}

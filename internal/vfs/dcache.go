@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -170,10 +171,29 @@ func (fs *FS) SetDcacheEnabled(on bool) {
 }
 
 // walkTrack accumulates, across symlink recursion, the directories a
-// resolve walk permission-checked, for insertion into the dcache.
+// resolve walk permission-checked, for insertion into the dcache. The
+// first few sit in an inline array, so tracking a walk that fails
+// allocates nothing.
 type walkTrack struct {
-	chain      []*Inode
+	inline     [8]*Inode
+	n          int
+	spill      []*Inode
 	viaSymlink bool
+}
+
+func (tk *walkTrack) add(dir *Inode) {
+	if tk.n < len(tk.inline) {
+		tk.inline[tk.n] = dir
+		tk.n++
+		return
+	}
+	tk.spill = append(tk.spill, dir)
+}
+
+// chain returns the tracked directories in walk order, in a slice of
+// their own.
+func (tk *walkTrack) chain() []*Inode {
+	return append(slices.Clone(tk.inline[:tk.n]), tk.spill...)
 }
 
 // lookupLocked resolves clean (an already-cleaned absolute path) through
@@ -196,11 +216,11 @@ func (fs *FS) lookupLocked(c Cred, clean string, follow bool) (*Inode, error) {
 		return ent.ino, nil
 	}
 	d.misses.Add(1)
-	tk := &walkTrack{}
-	ino, err := fs.resolveTrack(c, clean, follow, 0, tk)
+	var tk walkTrack
+	ino, err := fs.resolveTrack(c, clean, follow, 0, &tk)
 	if err != nil {
 		return nil, err
 	}
-	d.put(clean, follow, dentry{chain: tk.chain, ino: ino, viaSymlink: tk.viaSymlink})
+	d.put(clean, follow, dentry{chain: tk.chain(), ino: ino, viaSymlink: tk.viaSymlink})
 	return ino, nil
 }

@@ -114,8 +114,8 @@ func (fs *FS) resolveTrack(c Cred, path string, followLast bool, depth int, tk *
 		return nil, errno.ELOOP
 	}
 	cur := fs.root
-	comps := components(path)
-	for i, name := range comps {
+	for rest := path[1:]; rest != ""; {
+		name, after, more := strings.Cut(rest, "/")
 		if !cur.Mode.IsDir() {
 			return nil, errno.ENOTDIR
 		}
@@ -123,51 +123,43 @@ func (fs *FS) resolveTrack(c Cred, path string, followLast bool, depth int, tk *
 			return nil, err
 		}
 		if tk != nil {
-			tk.chain = append(tk.chain, cur)
+			tk.add(cur)
 		}
 		next, ok := cur.children[name]
 		if !ok {
 			return nil, errno.ENOENT
 		}
-		last := i == len(comps)-1
-		if next.Mode.IsSymlink() && (!last || followLast) {
+		if next.Mode.IsSymlink() && (more || followLast) {
 			if tk != nil {
 				tk.viaSymlink = true
 			}
-			target := CleanPath(string(next.Data), "/"+joinComps(comps[:i]))
-			// target is clean and the remaining components come from an
-			// already-cleaned path, so the concatenation needs no re-clean.
-			if rest := joinComps(comps[i+1:]); rest != "" {
-				if target == "/" {
-					target = "/" + rest
-				} else {
-					target = target + "/" + rest
-				}
-			}
-			return fs.resolveTrack(c, target, followLast, depth+1, tk)
+			return fs.resolveTrack(c, linkTarget(next, path, rest, after), followLast, depth+1, tk)
 		}
 		cur = next
+		rest = after
 	}
 	return cur, nil
 }
 
-func joinComps(comps []string) string {
-	if len(comps) == 0 {
-		return ""
+// linkTarget returns the path a walk of path (clean, absolute) continues
+// at when it meets symlink ln: rest is the unwalked tail of path starting
+// at the link's name, after the tail that follows the link.
+func linkTarget(ln *Inode, path, rest, after string) string {
+	dir := path[:len(path)-len(rest)-1]
+	if dir == "" {
+		dir = "/"
 	}
-	n := len(comps) - 1
-	for _, c := range comps {
-		n += len(c)
+	target := CleanPath(string(ln.Data), dir)
+	// target is clean and after comes from an already-cleaned path, so
+	// the concatenation needs no re-clean.
+	switch {
+	case after == "":
+		return target
+	case target == "/":
+		return "/" + after
+	default:
+		return target + "/" + after
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, c := range comps {
-		if i > 0 {
-			b.WriteByte('/')
-		}
-		b.WriteString(c)
-	}
-	return b.String()
 }
 
 // Lookup resolves path to an inode, following symlinks.
@@ -375,6 +367,66 @@ func (fs *FS) CreateProc(path string, mode Mode, read ProcReadFunc, write ProcWr
 // ReadFile returns the contents of the file at path, enforcing read
 // permission along the way. Proc files call their read handler.
 func (fs *FS) ReadFile(c Cred, path string) ([]byte, error) {
+	ino, err := fs.readable(c, path)
+	if err != nil {
+		return nil, err
+	}
+	if ino.ReadFn != nil {
+		return ino.ReadFn(c)
+	}
+	ino.mu.Lock()
+	data := make([]byte, len(ino.Data))
+	copy(data, ino.Data)
+	ino.mu.Unlock()
+	return data, nil
+}
+
+// parseMemo is one parse of an inode's contents: raw is the text that
+// was parsed, key names the parser.
+type parseMemo struct {
+	key string
+	raw string
+	val any
+}
+
+// ReadFileParsed reads the file at path exactly as ReadFile does (same
+// fault site, lookup and permission check) and returns parse applied to
+// its contents. The result is memoized on the inode: a later call with
+// the same key on the same bytes returns it without parsing again, on
+// this file system or on any clone sharing the inode. A hit compares the
+// contents rather than trusting a version, because descriptor writes
+// change Data in place. The value may be shared across file systems and
+// goroutines, so nobody may modify it. Proc files are parsed on every
+// call.
+func (fs *FS) ReadFileParsed(c Cred, path, key string, parse func(string) any) (any, error) {
+	ino, err := fs.readable(c, path)
+	if err != nil {
+		return nil, err
+	}
+	if ino.ReadFn != nil {
+		data, err := ino.ReadFn(c)
+		if err != nil {
+			return nil, err
+		}
+		return parse(string(data)), nil
+	}
+	ino.mu.Lock()
+	if m := ino.memo; m != nil && m.key == key && m.raw == string(ino.Data) {
+		ino.mu.Unlock()
+		return m.val, nil
+	}
+	raw := string(ino.Data)
+	ino.mu.Unlock()
+	m := &parseMemo{key: key, raw: raw, val: parse(raw)}
+	ino.mu.Lock()
+	ino.memo = m
+	ino.mu.Unlock()
+	return m.val, nil
+}
+
+// readable resolves path for a whole-file read: the vfs.readfile fault
+// site, the lookup and the read permission check.
+func (fs *FS) readable(c Cred, path string) (*Inode, error) {
 	if err := fs.faultCheck(faultinject.SiteVFSReadFile); err != nil {
 		return nil, err
 	}
@@ -390,15 +442,7 @@ func (fs *FS) ReadFile(c Cred, path string) ([]byte, error) {
 	if err := checkPerm(c, ino, MayRead); err != nil {
 		return nil, err
 	}
-	if ino.ReadFn != nil {
-		return ino.ReadFn(c)
-	}
-	ino.mu.Lock()
-	data := make([]byte, len(ino.Data))
-	copy(data, ino.Data)
-	ino.Atime = time.Now()
-	ino.mu.Unlock()
-	return data, nil
+	return ino, nil
 }
 
 // WriteFile replaces the contents of the file at path, creating it with the

@@ -71,8 +71,12 @@ type Inode struct {
 	// Times, maintained on modification.
 	Atime, Mtime, Ctime time.Time
 
-	// mu guards Data for concurrent file IO on the same inode.
+	// mu guards Data for concurrent file IO on the same inode, and memo.
 	mu sync.Mutex
+
+	// memo is the last parse FS.ReadFileParsed made of Data. A stored
+	// memo is never modified, so copies of the inode share it.
+	memo *parseMemo
 
 	// sealed marks an inode frozen into a copy-on-write snapshot: it may
 	// be shared between file systems and must be privatized (copied up)

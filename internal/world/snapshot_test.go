@@ -139,6 +139,33 @@ func TestCloneIsolationAppendNoScribble(t *testing.T) {
 	}
 }
 
+// TestCloneFdOverwriteNoScribble: a descriptor write that does not grow
+// the file overwrites Data in place, so the clone's copy-up must own its
+// bytes rather than share the snapshot's backing array.
+func TestCloneFdOverwriteNoScribble(t *testing.T) {
+	parent, a, b := clonePair(t)
+	before, err := parent.K.FS.ReadFile(vfs.RootCred, "/etc/motd")
+	if err != nil || len(before) < 2 {
+		t.Fatalf("motd: %q %v", before, err)
+	}
+	root, err := a.Session("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := a.K.Open(root, "/etc/motd", kernel.O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.K.Write(root, fd, []byte("X")); err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Machine{"parent": parent, "sibling": b} {
+		if got, _ := m.K.FS.ReadFile(vfs.RootCred, "/etc/motd"); string(got) != string(before) {
+			t.Fatalf("%s motd scribbled: %q -> %q", name, before, got)
+		}
+	}
+}
+
 // TestCloneOpenUnlinkWrite: the classic tempfile idiom — open, unlink,
 // then write the fd — performed in a clone. The unlinked descriptor
 // points at a snapshot-shared sealed inode with no path left to copy up
