@@ -277,11 +277,7 @@ func printTable5(quick bool, jsonPath string) error {
 		fmt.Printf("\nwrote %s (trace emission: %.0f ns/op, under 1µs: %v)\n",
 			jsonPath, rep.Emission.NsPerOp, rep.Emission.Under1us)
 		if fp := rep.Fastpath; fp != nil {
-			fmt.Printf("fast paths: lookup %.0f → %.0f ns/op with dcache (%.1f%% faster), "+
-				"mount-flow hit ratio %.4f\n",
-				fp.LookupColdNsPerOp, fp.LookupWarmNsPerOp, fp.SpeedupPct, fp.MountFlowHitRatio)
-			fmt.Printf("fastpath counters: dcache.hit=%d dcache.miss=%d mountidx.hit=%d nfidx.fastpath=%d\n",
-				fp.Counters["dcache.hit"], fp.Counters["dcache.miss"],
+			fmt.Printf("fastpath counters: mountidx.hit=%d nfidx.fastpath=%d\n",
 				fp.Counters["mountidx.hit"], fp.Counters["nfidx.fastpath"])
 		}
 		if rep.Scaling != nil {

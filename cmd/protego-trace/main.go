@@ -98,10 +98,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\n--- %s (read in-simulation) ---\n%s", kernel.ProcTraceStats, stats)
-
-	ds := m.K.FS.DcacheStats()
-	fmt.Printf("\nfast paths: dcache %d hits / %d misses (ratio %.4f), %d invalidated, %d cached\n",
-		ds.Hits, ds.Misses, ds.HitRatio(), ds.Invalidates, ds.Entries)
 }
 
 // runProfileDiff boots a machine with a learning-mode seccomp recorder

@@ -9,7 +9,8 @@ import (
 )
 
 // TestSyscallAllocs gates the allocation cost of the syscall entry path
-// on both images: a clean-path stat and the null syscall allocate
+// on both images: a clean-path stat, also right after its parent
+// directory is renamed away and back, and the null syscall allocate
 // nothing, and an open/close pair allocates at most its file description
 // and fd-table slot. The trace layer is live, as on every machine.
 func TestSyscallAllocs(t *testing.T) {
@@ -34,8 +35,18 @@ func TestSyscallAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			moved := dir + ".moved"
 			checkAllocs(t, []allocCase{
 				{"stat", 0, func() error { return statOp(k, sess) }},
+				{"stat_after_rename", 0, func() error {
+					if err := k.FS.Rename(vfs.RootCred, dir, moved); err != nil {
+						return err
+					}
+					if err := k.FS.Rename(vfs.RootCred, moved, dir); err != nil {
+						return err
+					}
+					return statOp(k, sess)
+				}},
 				{"getpid", 0, func() error { k.Getpid(sess); return nil }},
 				{"open_close", 2, func() error { return openCloseOp(k, sess) }},
 			})

@@ -22,7 +22,7 @@ type PairResult struct {
 }
 
 // pairRounds is the round count of the op-loop comparisons (Table 5
-// micro rows, the seccomp gate, the dcache lookup loop): microReps
+// micro rows, the seccomp gate): microReps
 // repetitions of 20 chunks each, so an arm runs 7×iters ops in total in
 // rounds of iters/20.
 const pairRounds = 140

@@ -35,11 +35,11 @@ type ParallelTest struct {
 }
 
 // ParallelSuite returns the parallel hot-path tests: stat and open/close
-// through the dentry cache, the mount-whitelist check, the netfilter
+// of a deep path, the mount-whitelist check, the netfilter
 // verdict, sudo delegation, and the paper's full Figure 1 mount flow.
 func ParallelSuite() []ParallelTest {
 	return []ParallelTest{
-		{Name: "stat-dcache-hit", Iters: 20000, Setup: setupStatDcache},
+		{Name: "stat", Iters: 20000, Setup: setupStat},
 		{Name: "open-close", Iters: 10000, Setup: setupOpenClose},
 		{Name: "mount-whitelist-check", Iters: 20000, Setup: setupMountCheck},
 		{Name: "netfilter-verdict", Iters: 20000, Setup: setupNetfilterVerdict},
@@ -48,9 +48,9 @@ func ParallelSuite() []ParallelTest {
 	}
 }
 
-// setupStatDcache: every worker stats the same deep path as its own
-// alice session; after the first touch all lookups are dentry-cache hits.
-func setupStatDcache(workers int) ([]ParallelOp, error) {
+// setupStat: every worker stats the same deep path as its own alice
+// session, walking the inode tree on every call.
+func setupStat(workers int) ([]ParallelOp, error) {
 	m, err := buildFastpathMachine()
 	if err != nil {
 		return nil, err

@@ -95,8 +95,8 @@ func benchmarkParallel(b *testing.B, name string) {
 	})
 }
 
-func BenchmarkParallelStatDcacheHit(b *testing.B) { benchmarkParallel(b, "stat-dcache-hit") }
-func BenchmarkParallelOpenClose(b *testing.B)     { benchmarkParallel(b, "open-close") }
+func BenchmarkParallelStat(b *testing.B)      { benchmarkParallel(b, "stat") }
+func BenchmarkParallelOpenClose(b *testing.B) { benchmarkParallel(b, "open-close") }
 func BenchmarkParallelMountWhitelistCheck(b *testing.B) {
 	benchmarkParallel(b, "mount-whitelist-check")
 }

@@ -88,8 +88,9 @@ func attackSurfaceRows(lin, pro *seccomp.ProfileSet) []SeccompRow {
 }
 
 // seccompProbePath is the deep path the overhead loops resolve; like the
-// fastpath bench, every component is a directory the walk must check, so
-// the prologue's cost is measured against a realistic syscall body.
+// parallel stat row's, every component is a directory the walk must
+// check, so the prologue's cost is measured against a realistic syscall
+// body.
 const seccompProbePath = "/usr/share/doc/protego/seccomp/README"
 
 func buildSeccompMachine(armed bool) (*world.Machine, error) {

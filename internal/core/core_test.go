@@ -7,6 +7,7 @@ import (
 
 	"protego/internal/core"
 	"protego/internal/errno"
+	"protego/internal/faultinject"
 	"protego/internal/kernel"
 	"protego/internal/netstack"
 	"protego/internal/policy"
@@ -404,6 +405,29 @@ func TestIdentityCacheInvalidation(t *testing.T) {
 	m.Protego.InvalidateIdentity()
 	if _, ok := m.Protego.ResolveGroups(1003); !ok {
 		t.Fatal("invalidation did not refresh")
+	}
+}
+
+// TestIdentityCacheTransientFault: a read error while refreshing the
+// identity cache fails the check in hand closed, but must not be cached —
+// the next check re-reads the databases and delegation works again.
+func TestIdentityCacheTransientFault(t *testing.T) {
+	m := protegoMachine(t)
+	charlie := session(t, m, "charlie") // %wheel NOPASSWD: /bin/ls
+	m.Protego.InvalidateIdentity()
+	in := faultinject.New(faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{
+		{Site: faultinject.SiteVFSReadFile, Action: faultinject.ActErr, Err: errno.EIO, Nth: 1},
+	}})
+	m.SetFaultInjector(in)
+	if err := m.K.Setuid(charlie, 0); err != errno.EPERM {
+		t.Fatalf("setuid during read fault: got %v, want EPERM", err)
+	}
+	if in.Injections() != 1 {
+		t.Fatalf("injections = %d, want 1", in.Injections())
+	}
+	m.SetFaultInjector(nil)
+	if err := m.K.Setuid(charlie, 0); err != nil {
+		t.Fatalf("setuid after the fault cleared: %v", err)
 	}
 }
 

@@ -29,9 +29,10 @@ func (m *Module) refreshIdentityLocked() {
 	c.uidName = make(map[int]string)
 	c.nameUID = make(map[string]int)
 	c.groups = make(map[string][]string)
+	// A read error leaves the cache invalid: the check in hand fails
+	// closed on the partial maps and the next check re-reads.
 	users, err := m.db.Users()
 	if err != nil {
-		c.valid = true // negative cache until invalidated
 		return
 	}
 	for i := range users {
@@ -40,9 +41,10 @@ func (m *Module) refreshIdentityLocked() {
 	}
 	for i := range users {
 		names, err := m.db.GroupNamesOf(users[i].Name)
-		if err == nil {
-			c.groups[users[i].Name] = names
+		if err != nil {
+			return
 		}
+		c.groups[users[i].Name] = names
 	}
 	c.valid = true
 }

@@ -15,9 +15,6 @@ import (
 // Config selects the ablations (and the deliberate-vulnerability hook used
 // by the harness's self-test) a run executes under.
 type Config struct {
-	// DcacheOff disables the VFS dentry cache on both machines — the
-	// fuzzer must see identical behavior with the fast path off.
-	DcacheOff bool
 	// BreakMountPolicy flips the core.Module test hook that grants every
 	// unprivileged mount on the Protego image. Runs with this set MUST
 	// fail; it proves the harness detects a broken policy.
@@ -112,7 +109,6 @@ func newMachineCtx(mode kernel.Mode, cfg Config, prep func(*world.Machine)) (*ma
 	if err != nil {
 		return nil, err
 	}
-	m.K.FS.SetDcacheEnabled(!cfg.DcacheOff)
 	if cfg.BreakMountPolicy && m.Protego != nil {
 		m.Protego.TestHookBreakMountPolicy(true)
 	}

@@ -37,7 +37,6 @@ func (k *Kernel) Clone() *Kernel {
 	c.Net.SetFilter(c.Filter)
 	c.LSM.SetTracer(c.Trace)
 	c.Filter.SetTracer(c.Trace)
-	c.registerDcacheCounters()
 
 	c.nextPID.Store(k.nextPID.Load())
 	c.unprivNS.Store(k.unprivNS.Load())

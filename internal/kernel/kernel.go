@@ -138,19 +138,7 @@ func New(mode Mode, hostIP netstack.IP) *Kernel {
 	k.Net.SetFilter(k.Filter)
 	k.LSM.SetTracer(k.Trace)
 	k.Filter.SetTracer(k.Trace)
-	k.registerDcacheCounters()
 	return k
-}
-
-// registerDcacheCounters surfaces the VFS dentry-cache counters as
-// fast-path counters in /proc/trace/stats; the FS owns the hot atomics,
-// the tracer reads them lazily. Called at construction and again after
-// Clone (the clone has its own FS and tracer).
-func (k *Kernel) registerDcacheCounters() {
-	fs := k.FS
-	k.Trace.RegisterCounter("dcache.hit", func() uint64 { return fs.DcacheStats().Hits })
-	k.Trace.RegisterCounter("dcache.miss", func() uint64 { return fs.DcacheStats().Misses })
-	k.Trace.RegisterCounter("dcache.invalidate", func() uint64 { return fs.DcacheStats().Invalidates })
 }
 
 // SetFaultInjector installs (or, with nil, removes) the fault-injection

@@ -9,14 +9,14 @@ import (
 func TestFastpathCounterRegistryReadsLazily(t *testing.T) {
 	tr := New(16)
 	var n atomic.Uint64
-	tr.RegisterCounter("dcache.hit", n.Load)
+	tr.RegisterCounter("mountidx.hit", n.Load)
 	n.Store(7)
-	if got := tr.FastpathCounters()["dcache.hit"]; got != 7 {
-		t.Fatalf("dcache.hit = %d, want 7 (must read at snapshot time)", got)
+	if got := tr.FastpathCounters()["mountidx.hit"]; got != 7 {
+		t.Fatalf("mountidx.hit = %d, want 7 (must read at snapshot time)", got)
 	}
 	n.Add(3)
-	if got := tr.FastpathCounters()["dcache.hit"]; got != 10 {
-		t.Fatalf("dcache.hit = %d, want 10", got)
+	if got := tr.FastpathCounters()["mountidx.hit"]; got != 10 {
+		t.Fatalf("mountidx.hit = %d, want 10", got)
 	}
 }
 
@@ -42,13 +42,13 @@ func TestRenderStatsFastpathSection(t *testing.T) {
 	if strings.Contains(out, "fastpath counters:") {
 		t.Fatal("empty registry must not render a fastpath section")
 	}
-	tr.RegisterCounter("dcache.hit", func() uint64 { return 9 })
-	tr.RegisterCounter("dcache.miss", func() uint64 { return 1 })
+	tr.RegisterCounter("nfidx.fastpath", func() uint64 { return 9 })
 	tr.RegisterCounter("mountidx.hit", func() uint64 { return 5 })
 	out = tr.RenderStats()
 	for _, want := range []string{
-		"fastpath counters:", "dcache.hit", "dcache.miss", "mountidx.hit",
-		"dcache.hit_ratio", "0.9000",
+		"fastpath counters:",
+		"  mountidx.hit             5\n",
+		"  nfidx.fastpath           9\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("RenderStats missing %q:\n%s", want, out)

@@ -41,7 +41,7 @@ type Tracer struct {
 	counters atomic.Pointer[map[CounterKey]*ctrSlot]
 
 	// fastpath holds lazily-read monotonic counters registered by the
-	// kernel's fast-path layers (dcache, compiled policy indexes). The
+	// kernel's fast-path layers (compiled policy indexes). The
 	// owning subsystem keeps the hot atomic; the tracer only reads it at
 	// snapshot/render time, so registration adds zero hot-path cost.
 	fpMu     sync.RWMutex
@@ -421,9 +421,6 @@ func (tr *Tracer) RenderStats() string {
 		b.WriteString("\nfastpath counters:\n")
 		for _, k := range fkeys {
 			fmt.Fprintf(&b, "  %-24s %d\n", k, fp[k])
-		}
-		if total := fp["dcache.hit"] + fp["dcache.miss"]; total > 0 {
-			fmt.Fprintf(&b, "  %-24s %.4f\n", "dcache.hit_ratio", float64(fp["dcache.hit"])/float64(total))
 		}
 	}
 	return b.String()

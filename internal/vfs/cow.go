@@ -55,22 +55,20 @@ func sealTree(ino *Inode) {
 func (fs *FS) COW() bool { return fs.cow.Load() }
 
 // Clone returns a new FS sharing this file system's sealed inode tree.
-// The FS must be frozen first. The clone starts with a fresh empty
-// dcache, no watches, no fault injector, and private copies of the mount
-// table and the saved mount-point directories; inodes stay shared until
-// either side writes, at which point the writer copies the affected path
-// up into private inodes.
+// The FS must be frozen first. The clone starts with no watches, no fault
+// injector, and private copies of the mount table and the saved
+// mount-point directories; inodes stay shared until either side writes,
+// at which point the writer copies the affected path up into private
+// inodes.
 func (fs *FS) Clone() *FS {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	c := &FS{
 		root:      fs.root,
 		nextIno:   fs.nextIno,
-		dcache:    newDcache(),
 		mountSave: make(map[string][]savedDir, len(fs.mountSave)),
 	}
 	c.cow.Store(true)
-	c.dcache.disabled.Store(fs.dcache.disabled.Load())
 	c.mounts = make([]*Mount, len(fs.mounts))
 	for i, m := range fs.mounts {
 		mc := *m
@@ -136,7 +134,6 @@ func (fs *FS) copyUpLocked(path string, followLast bool, depth int) (*Inode, err
 	}
 	if fs.root.sealed.Load() {
 		fs.root = fs.root.cowCopy()
-		fs.cowBreaks++
 	}
 	cur := fs.root
 	for rest := path[1:]; rest != ""; {
@@ -154,7 +151,6 @@ func (fs *FS) copyUpLocked(path string, followLast bool, depth int) (*Inode, err
 		if next.sealed.Load() {
 			next = next.cowCopy()
 			cur.children[name] = next
-			fs.cowBreaks++
 		}
 		cur = next
 		rest = after
@@ -166,18 +162,13 @@ func (fs *FS) copyUpLocked(path string, followLast bool, depth int) (*Inode, err
 // privatizing the sealed inodes along it. Resolution errors are
 // swallowed: the deepest existing prefix gets privatized — exactly what
 // creation sites need for the parent directory — and the caller's own
-// lookup reports the real error. Any privatization clears the dcache,
-// whose cached chains hold the replaced pointers. Caller holds fs.mu
-// exclusively. No-op when not in COW mode.
+// lookup reports the real error. Caller holds fs.mu exclusively. No-op
+// when not in COW mode.
 func (fs *FS) cowWriteLocked(path string, followLast bool) {
 	if !fs.cow.Load() {
 		return
 	}
-	before := fs.cowBreaks
 	_, _ = fs.copyUpLocked(CleanPath(path, "/"), followLast, 0)
-	if fs.cowBreaks != before {
-		fs.dcache.clear()
-	}
 }
 
 // BreakSealInode returns a writable private inode for a descriptor that
@@ -198,11 +189,7 @@ func (fs *FS) BreakSealInode(path string, ino *Inode) *Inode {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.cow.Load() {
-		before := fs.cowBreaks
 		nino, err := fs.copyUpLocked(CleanPath(path, "/"), true, 0)
-		if fs.cowBreaks != before {
-			fs.dcache.clear()
-		}
 		if err == nil && nino.Ino == ino.Ino {
 			return nino
 		}
@@ -221,7 +208,7 @@ func (fs *FS) RebindProc(path string, read ProcReadFunc, write ProcWriteFunc) er
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.cowWriteLocked(clean, true)
-	ino, err := fs.lookupLocked(RootCred, clean, true)
+	ino, err := fs.resolve(RootCred, clean, true, 0)
 	if err != nil {
 		return err
 	}

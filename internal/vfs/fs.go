@@ -19,10 +19,6 @@ type FS struct {
 	root    *Inode
 	nextIno uint64
 
-	// dcache caches repeat path resolutions; structural mutations
-	// invalidate affected prefixes (see dcache.go for the precise rules).
-	dcache *dcache
-
 	watches   []*Watch
 	watchSeq  int
 	mounts    []*Mount
@@ -37,9 +33,6 @@ type FS struct {
 	// copy sealed inodes up into private ones first (see cow.go). An
 	// atomic so the non-COW fast paths read it without fs.mu.
 	cow atomic.Bool
-	// cowBreaks counts privatized inodes; cowWriteLocked uses it to
-	// detect whether a copy-up happened (guarded by fs.mu).
-	cowBreaks uint64
 }
 
 type savedDir struct {
@@ -63,7 +56,7 @@ var RootCred Cred = rootCred{}
 // New creates an empty file system whose root directory is owned by root
 // with mode 0755.
 func New() *FS {
-	fs := &FS{nextIno: 1, mountSave: make(map[string][]savedDir), dcache: newDcache()}
+	fs := &FS{nextIno: 1, mountSave: make(map[string][]savedDir)}
 	fs.root = fs.newInode(TypeDir|0o755, 0, 0)
 	fs.root.children = make(map[string]*Inode)
 	return fs
@@ -101,15 +94,8 @@ func (fs *FS) faultCheck(site string) error {
 
 // resolve walks path (already cleaned and absolute) checking MayExec on every
 // traversed directory. If followLast is true, a trailing symlink is followed.
+// Caller holds fs.mu (read or write).
 func (fs *FS) resolve(c Cred, path string, followLast bool, depth int) (*Inode, error) {
-	return fs.resolveTrack(c, path, followLast, depth, nil)
-}
-
-// resolveTrack is resolve with an optional walk tracker: when tk is
-// non-nil it accumulates every directory the walk permission-checked
-// (across symlink recursion) so the result can be inserted into the
-// dcache with enough state to re-enforce MayExec on later hits.
-func (fs *FS) resolveTrack(c Cred, path string, followLast bool, depth int, tk *walkTrack) (*Inode, error) {
 	if depth > 16 {
 		return nil, errno.ELOOP
 	}
@@ -122,18 +108,12 @@ func (fs *FS) resolveTrack(c Cred, path string, followLast bool, depth int, tk *
 		if err := checkPerm(c, cur, MayExec); err != nil {
 			return nil, err
 		}
-		if tk != nil {
-			tk.add(cur)
-		}
 		next, ok := cur.children[name]
 		if !ok {
 			return nil, errno.ENOENT
 		}
 		if next.Mode.IsSymlink() && (more || followLast) {
-			if tk != nil {
-				tk.viaSymlink = true
-			}
-			return fs.resolveTrack(c, linkTarget(next, path, rest, after), followLast, depth+1, tk)
+			return fs.resolve(c, linkTarget(next, path, rest, after), followLast, depth+1)
 		}
 		cur = next
 		rest = after
@@ -169,14 +149,14 @@ func (fs *FS) Lookup(c Cred, path string) (*Inode, error) {
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return fs.lookupLocked(c, CleanPath(path, "/"), true)
+	return fs.resolve(c, CleanPath(path, "/"), true, 0)
 }
 
 // LookupNoFollow resolves path without following a final symlink.
 func (fs *FS) LookupNoFollow(c Cred, path string) (*Inode, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	return fs.lookupLocked(c, CleanPath(path, "/"), false)
+	return fs.resolve(c, CleanPath(path, "/"), false, 0)
 }
 
 // Exists reports whether path resolves for credential c.
@@ -193,7 +173,7 @@ func (fs *FS) lookupParent(c Cred, path string) (*Inode, string, error) {
 	if base == "." {
 		return nil, "", errno.EINVAL
 	}
-	parent, err := fs.lookupLocked(c, dir, true)
+	parent, err := fs.resolve(c, dir, true, 0)
 	if err != nil {
 		return nil, "", err
 	}
@@ -226,7 +206,6 @@ func (fs *FS) Mkdir(c Cred, path string, mode Mode, uid, gid int) (*Inode, error
 	ino := fs.newInode(TypeDir|mode.Perm(), uid, gid)
 	parent.children[base] = ino
 	parent.Mtime = time.Now()
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return ino, nil
@@ -280,7 +259,6 @@ func (fs *FS) Create(c Cred, path string, mode Mode, uid, gid int) (*Inode, erro
 	ino := fs.newInode(TypeRegular|mode.Perm(), uid, gid)
 	parent.children[base] = ino
 	parent.Mtime = time.Now()
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return ino, nil
@@ -306,7 +284,6 @@ func (fs *FS) Symlink(c Cred, target, path string, uid, gid int) error {
 	ino := fs.newInode(TypeSymlink|0o777, uid, gid)
 	ino.Data = []byte(target)
 	parent.children[base] = ino
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return nil
@@ -335,7 +312,6 @@ func (fs *FS) Mknod(c Cred, path string, devType DeviceType, major, minor int, m
 	ino := fs.newInode(t|mode.Perm(), uid, gid)
 	ino.Major, ino.Minor, ino.DevType = major, minor, devType
 	parent.children[base] = ino
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpCreate, Path: CleanPath(path, "/")})
 	return ino, nil
@@ -359,7 +335,6 @@ func (fs *FS) CreateProc(path string, mode Mode, read ProcReadFunc, write ProcWr
 	ino.ReadFn = read
 	ino.WriteFn = write
 	parent.children[base] = ino
-	fs.dcache.noteCreate()
 	fs.mu.Unlock()
 	return ino, nil
 }
@@ -431,7 +406,7 @@ func (fs *FS) readable(c Cred, path string) (*Inode, error) {
 		return nil, err
 	}
 	fs.mu.RLock()
-	ino, err := fs.lookupLocked(c, CleanPath(path, "/"), true)
+	ino, err := fs.resolve(c, CleanPath(path, "/"), true, 0)
 	fs.mu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -453,7 +428,7 @@ func (fs *FS) WriteFile(c Cred, path string, data []byte, mode Mode, uid, gid in
 	}
 	clean := CleanPath(path, "/")
 	fs.mu.RLock()
-	ino, err := fs.lookupLocked(c, clean, true)
+	ino, err := fs.resolve(c, clean, true, 0)
 	fs.mu.RUnlock()
 	if err == errno.ENOENT {
 		ino, err = fs.Create(c, clean, mode, uid, gid)
@@ -470,7 +445,7 @@ func (fs *FS) WriteFile(c Cred, path string, data []byte, mode Mode, uid, gid in
 func (fs *FS) AppendFile(c Cred, path string, data []byte) error {
 	clean := CleanPath(path, "/")
 	fs.mu.RLock()
-	ino, err := fs.lookupLocked(c, clean, true)
+	ino, err := fs.resolve(c, clean, true, 0)
 	fs.mu.RUnlock()
 	if err != nil {
 		return err
@@ -501,7 +476,7 @@ func (fs *FS) writeInode(c Cred, ino *Inode, clean string, data []byte, app bool
 		// inode, which every sibling snapshot can read.
 		fs.mu.Lock()
 		fs.cowWriteLocked(clean, true)
-		nino, lerr := fs.lookupLocked(c, clean, true)
+		nino, lerr := fs.resolve(c, clean, true, 0)
 		if lerr == nil && nino.sealed.Load() {
 			lerr = errno.EROFS
 		}
@@ -567,7 +542,6 @@ func (fs *FS) Remove(c Cred, path string) error {
 	}
 	delete(parent.children, base)
 	parent.Mtime = time.Now()
-	fs.dcache.invalidate(clean, true)
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpRemove, Path: clean})
 	return nil
@@ -614,8 +588,6 @@ func (fs *FS) Rename(c Cred, oldPath, newPath string) error {
 	newParent.children[newBase] = target
 	oldParent.Mtime = time.Now()
 	newParent.Mtime = time.Now()
-	fs.dcache.invalidate(oldClean, true)
-	fs.dcache.invalidate(newClean, true)
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpRemove, Path: oldClean})
 	fs.notify(Event{Op: OpWrite, Path: newClean})
@@ -640,7 +612,7 @@ func (fs *FS) Chmod(c Cred, path string, mode Mode) error {
 	fs.mu.Lock()
 	if ino.sealed.Load() {
 		fs.cowWriteLocked(clean, true)
-		nino, lerr := fs.lookupLocked(c, clean, true)
+		nino, lerr := fs.resolve(c, clean, true, 0)
 		if lerr == nil && nino.sealed.Load() {
 			lerr = errno.EROFS
 		}
@@ -652,10 +624,6 @@ func (fs *FS) Chmod(c Cred, path string, mode Mode) error {
 	}
 	ino.Mode = ino.Mode.Type() | mode.Perm()
 	ino.Ctime = time.Now()
-	// Cached chains hold this inode by pointer and re-check MayExec on
-	// every hit, so correctness does not depend on this invalidation; it
-	// keeps the mutation rule uniform (and the generation honest).
-	fs.dcache.invalidate(clean, true)
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpChmod, Path: clean})
 	return nil
@@ -678,7 +646,7 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 	fs.mu.Lock()
 	if ino.sealed.Load() {
 		fs.cowWriteLocked(clean, true)
-		nino, lerr := fs.lookupLocked(c, clean, true)
+		nino, lerr := fs.resolve(c, clean, true, 0)
 		if lerr == nil && nino.sealed.Load() {
 			lerr = errno.EROFS
 		}
@@ -693,7 +661,6 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 		ino.Mode &^= ModeSetuid | ModeSetgid
 	}
 	ino.Ctime = time.Now()
-	fs.dcache.invalidate(clean, true)
 	fs.mu.Unlock()
 	fs.notify(Event{Op: OpChmod, Path: clean})
 	return nil
@@ -703,7 +670,7 @@ func (fs *FS) Chown(c Cred, path string, uid, gid int) error {
 func (fs *FS) ReadDir(c Cred, path string) ([]string, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	ino, err := fs.lookupLocked(c, CleanPath(path, "/"), true)
+	ino, err := fs.resolve(c, CleanPath(path, "/"), true, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func (fs *FS) AttachMount(c Cred, m *Mount) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.cowWriteLocked(clean, true)
-	ino, err := fs.lookupLocked(c, clean, true)
+	ino, err := fs.resolve(c, clean, true, 0)
 	if err != nil {
 		return err
 	}
@@ -67,10 +67,6 @@ func (fs *FS) AttachMount(c Cred, m *Mount) error {
 	mcopy.MountTime = time.Now()
 	sort.Strings(mcopy.Options)
 	fs.mounts = append(fs.mounts, &mcopy)
-	// The graft swapped the mount point's children but not its inode:
-	// cached resolutions *of* the mount point stay valid, everything
-	// beneath it does not.
-	fs.dcache.invalidate(clean, false)
 	return nil
 }
 
@@ -91,7 +87,7 @@ func (fs *FS) DetachMount(c Cred, point string) (*Mount, error) {
 	if idx < 0 {
 		return nil, errno.EINVAL // not mounted
 	}
-	ino, err := fs.lookupLocked(c, clean, true)
+	ino, err := fs.resolve(c, clean, true, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +100,6 @@ func (fs *FS) DetachMount(c Cred, point string) (*Mount, error) {
 	ino.children = save.children
 	m := fs.mounts[idx]
 	fs.mounts = append(fs.mounts[:idx], fs.mounts[idx+1:]...)
-	fs.dcache.invalidate(clean, false)
 	return m, nil
 }
 

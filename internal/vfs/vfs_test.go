@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -502,6 +503,168 @@ func TestRename(t *testing.T) {
 	}
 	if fs.Exists(root, "/etc/passwd.tmp") {
 		t.Fatal("tmp survived rename")
+	}
+}
+
+// TestWalkAfterMutation checks that every lookup reflects the tree as it
+// is now: each case resolves a path once, mutates the tree, and expects
+// the next walk to see the mutation with the caller's current credential.
+func TestWalkAfterMutation(t *testing.T) {
+	const f = "/srv/data/sub/f"
+	lookup := func(t *testing.T, fs *FS, c Cred, path string, want error) {
+		t.Helper()
+		if _, err := fs.Lookup(c, path); err != want {
+			t.Fatalf("lookup %s: got %v, want %v", path, err, want)
+		}
+	}
+	readBack := func(t *testing.T, fs *FS, path, want string) {
+		t.Helper()
+		data, err := fs.ReadFile(root, path)
+		if err != nil {
+			t.Fatalf("read %s: %v", path, err)
+		}
+		if string(data) != want {
+			t.Fatalf("read %s: got %q, want %q", path, data, want)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, fs *FS)
+	}{
+		{"same-inode", func(t *testing.T, fs *FS) {
+			a, err := fs.Lookup(root, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := fs.Lookup(root, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b {
+				t.Fatal("repeat lookup returned a different inode")
+			}
+		}},
+		{"unlink", func(t *testing.T, fs *FS) {
+			lookup(t, fs, root, f, nil)
+			if err := fs.Remove(root, f); err != nil {
+				t.Fatal(err)
+			}
+			lookup(t, fs, root, f, errno.ENOENT)
+		}},
+		{"rename-intermediate-dir", func(t *testing.T, fs *FS) {
+			lookup(t, fs, root, f, nil)
+			if err := fs.Rename(root, "/srv/data", "/srv/moved"); err != nil {
+				t.Fatal(err)
+			}
+			lookup(t, fs, root, f, errno.ENOENT)
+			lookup(t, fs, root, "/srv/moved/sub/f", nil)
+		}},
+		{"chmod-intermediate-dir", func(t *testing.T, fs *FS) {
+			lookup(t, fs, alice, f, nil)
+			if err := fs.Chmod(root, "/srv/data", 0o700); err != nil {
+				t.Fatal(err)
+			}
+			lookup(t, fs, alice, f, errno.EACCES)
+			lookup(t, fs, root, f, nil)
+		}},
+		{"credential-per-lookup", func(t *testing.T, fs *FS) {
+			if err := fs.Chmod(root, "/srv/data", 0o700); err != nil {
+				t.Fatal(err)
+			}
+			lookup(t, fs, root, f, nil)
+			lookup(t, fs, alice, f, errno.EACCES)
+		}},
+		{"symlink-retarget", func(t *testing.T, fs *FS) {
+			if err := fs.WriteFile(root, "/srv/data/other", []byte("v2"), 0o644, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Symlink(root, f, "/srv/link", 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			readBack(t, fs, "/srv/link", "v1")
+			if err := fs.Remove(root, "/srv/link"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Symlink(root, "/srv/data/other", "/srv/link", 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			readBack(t, fs, "/srv/link", "v2")
+		}},
+		{"dangling-symlink", func(t *testing.T, fs *FS) {
+			if err := fs.Symlink(root, f, "/srv/link", 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			lookup(t, fs, root, "/srv/link", nil)
+			if err := fs.Remove(root, f); err != nil {
+				t.Fatal(err)
+			}
+			lookup(t, fs, root, "/srv/link", errno.ENOENT)
+		}},
+		{"mount-shadow-umount-restore", func(t *testing.T, fs *FS) {
+			lookup(t, fs, root, f, nil)
+			m := &Mount{Device: "/dev/sdb1", Point: "/srv/data", FSType: "ext4"}
+			if err := fs.AttachMount(root, m); err != nil {
+				t.Fatal(err)
+			}
+			lookup(t, fs, root, f, errno.ENOENT)
+			lookup(t, fs, root, "/srv/data", nil)
+			if _, err := fs.DetachMount(root, "/srv/data"); err != nil {
+				t.Fatal(err)
+			}
+			readBack(t, fs, f, "v1")
+		}},
+		{"concurrent-rename-chmod", func(t *testing.T, fs *FS) {
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						// Both outcomes are legal while the mutator runs;
+						// the race detector is the real assertion here.
+						_, _ = fs.Lookup(root, f)
+						_, _ = fs.Lookup(alice, "/srv/data/sub")
+					}
+				}()
+			}
+			mutate := func() error {
+				if err := fs.Rename(root, "/srv/data", "/srv/tmp-moved"); err != nil {
+					return err
+				}
+				if err := fs.Rename(root, "/srv/tmp-moved", "/srv/data"); err != nil {
+					return err
+				}
+				return fs.Chmod(root, "/srv/data", 0o755)
+			}
+			var err error
+			for i := 0; i < 200 && err == nil; i++ {
+				err = mutate()
+			}
+			close(stop)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lookup(t, fs, root, f, nil)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := newTestFS(t)
+			if err := fs.MkdirAll(root, "/srv/data/sub", 0o755, 0, 0); err != nil {
+				t.Fatalf("mkdir: %v", err)
+			}
+			if err := fs.WriteFile(root, f, []byte("v1"), 0o644, 0, 0); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			tc.run(t, fs)
+		})
 	}
 }
 

@@ -210,8 +210,7 @@ var fingerprintSemanticContent = map[string]bool{
 // (a clone can only share an inode that is sealed), the text is a function
 // of the snapshot alone and is rendered once per snapshot, unless an armed
 // fault injector may fail the reads. It is filled from the first matching
-// clone rather than the golden machine, whose reads would fill a dcache
-// that lives as long as the process.
+// clone.
 func (m *Machine) appendAccounts(b []byte, idx *fpIndex, acct *acctInodes) []byte {
 	if idx == nil || *acct != idx.acct || m.K.FaultInjector() != nil {
 		return appendAccounts(b, m)

@@ -11,7 +11,7 @@ import (
 
 // TestConcurrentKernelStress is the -race concurrency stress test: N
 // worker goroutines each run a session loop of fork/exec/exit (a real
-// /bin/ls spawn), dcache-hit stats, and pid lookups, while a reloader
+// /bin/ls spawn), deep-path stats, and pid lookups, while a reloader
 // goroutine hammers monitord policy resyncs (mounts + delegation) the
 // whole time. Afterwards the task table must have lost no tasks and the
 // tracer's counters must be internally consistent.
@@ -67,7 +67,7 @@ func TestConcurrentKernelStress(t *testing.T) {
 			}
 			defer m.K.Exit(sess, 0)
 			for i := 0; i < iters; i++ {
-				// Dcache-hit stats on a shared deep path.
+				// Stats on a shared deep path.
 				if _, err := m.K.Stat(sess, "/stress/deep/path/probe"); err != nil {
 					t.Errorf("stat: %v", err)
 					return
