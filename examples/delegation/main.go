@@ -62,6 +62,6 @@ func main() {
 	for _, line := range m.K.AuditLog() {
 		fmt.Println("audit:", line)
 	}
-	fmt.Printf("LSM stats: grants=%d defers=%d denials=%d\n",
-		m.Protego.Stats.SetuidGrants.Load(), m.Protego.Stats.SetuidDefers.Load(), m.Protego.Stats.SetuidDenials.Load())
+	st := m.Protego.Stats.Snapshot()
+	fmt.Printf("LSM stats: grants=%d defers=%d denials=%d\n", st.SetuidGrants, st.SetuidDefers, st.SetuidDenials)
 }

@@ -98,7 +98,7 @@ func (s *Service) shadowHash(user string) (string, error) {
 }
 
 // observe emits one auth event; t may be nil for non-task checks.
-func (s *Service) observe(mechanism, subject string, t lsm.Task, ok bool) {
+func (s *Service) observe(mechanism trace.Cell, subject string, t lsm.Task, ok bool) {
 	pid, uid := 0, -1
 	if t != nil {
 		pid, uid = t.PID(), t.UID()
@@ -174,15 +174,15 @@ func (s *Service) VerifyPassword(user, password string) bool {
 func (s *Service) AuthenticateUser(t lsm.Task, user string, ownIdentity bool) error {
 	p, ok := t.(Prompter)
 	if !ok {
-		s.observe("password", user, t, false)
+		s.observe(trace.AuthPassword, user, t, false)
 		return errno.EACCES
 	}
 	password := p.Ask("[protego-auth] password for " + user + ": ")
 	if !s.VerifyPassword(user, password) {
-		s.observe("password", user, t, false)
+		s.observe(trace.AuthPassword, user, t, false)
 		return errno.EACCES
 	}
-	s.observe("password", user, t, true)
+	s.observe(trace.AuthPassword, user, t, true)
 	if ownIdentity {
 		s.Stamp(t)
 	}
@@ -192,7 +192,7 @@ func (s *Service) AuthenticateUser(t lsm.Task, user string, ownIdentity bool) er
 // AuthenticateGroup asks for a password-protected group's password (the
 // newgrp flow of §4.3).
 func (s *Service) AuthenticateGroup(t lsm.Task, group string) (err error) {
-	defer func() { s.observe("group", group, t, err == nil) }()
+	defer func() { s.observe(trace.AuthGroup, group, t, err == nil) }()
 	g, err := s.db.LookupGroup(group)
 	if err != nil {
 		return errno.EACCES
@@ -218,9 +218,9 @@ func (s *Service) AuthenticateGroup(t lsm.Task, group string) (err error) {
 // This is the entry point the Protego LSM calls on setuid (§4.3).
 func (s *Service) EnsureRecent(t lsm.Task, ownUser string) error {
 	if s.RecentlyAuthenticated(t) {
-		s.observe("recency", ownUser, t, true)
+		s.observe(trace.AuthRecency, ownUser, t, true)
 		return nil
 	}
-	s.observe("recency", ownUser, t, false)
+	s.observe(trace.AuthRecency, ownUser, t, false)
 	return s.AuthenticateUser(t, ownUser, true)
 }

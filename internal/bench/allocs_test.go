@@ -1,9 +1,15 @@
 package bench
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"protego/internal/kernel"
+	"protego/internal/lsm"
+	"protego/internal/netfilter"
+	"protego/internal/netstack"
+	"protego/internal/trace"
 	"protego/internal/vfs"
 	"protego/internal/world"
 )
@@ -80,6 +86,49 @@ func TestAccountDBAllocs(t *testing.T) {
 				{"GroupIDsOf", 3, func() error { _, err := db.GroupIDsOf("alice"); return err }},
 			})
 		})
+	}
+}
+
+// TestCounterAllocs gates the tracer's counters: a traced netfilter
+// verdict bumps the handle its rule took at install and allocates
+// nothing, and the first bump of each kind of fixed cell on a fresh
+// tracer (a decision-matrix cell, a fast-path counter, an auth outcome)
+// allocates nothing either. The first-bump case reads the malloc count
+// directly, since AllocsPerRun's warm-up call would hide a first-use
+// allocation.
+func TestCounterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on the measured paths")
+	}
+	tbl := netfilter.NewTable()
+	for _, r := range netfilter.ProtegoDefaultRules() {
+		if err := tbl.Append("OUTPUT", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.SetTracer(trace.New(0))
+	echo := &netstack.Packet{Proto: netstack.IPPROTO_ICMP, ICMPType: netstack.ICMPEchoRequest,
+		FromRaw: true, UnprivRaw: true, SenderUID: world.UIDAlice}
+	checkAllocs(t, []allocCase{
+		{"netfilter_icmp_echo", 0, func() error {
+			if tbl.Output(echo) != netfilter.Accept {
+				return fmt.Errorf("unprivileged echo request dropped")
+			}
+			return nil
+		}},
+	})
+
+	tr := trace.New(0)
+	slot := tr.ModuleSlot("protego")
+	tr.Audit("ring warm-up") // the ring's first slot chunk is not a counter cost
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr.CountHook(trace.HookMount, slot, int(lsm.Grant))
+	tr.Count(trace.MountIdxHit)
+	tr.AuthCheck(trace.AuthPassword, "alice", 1, world.UIDAlice, true)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("first bump of each fixed-cell kind: %d allocs, want 0", n)
 	}
 }
 

@@ -152,7 +152,10 @@ func CollectTraceTimings() (syscalls, hooks []HistRow, decisions []DecisionRow, 
 		}
 	}
 	syscalls, hooks = splitHistograms(m.K.Trace.Histograms())
-	decisions = decisionRows(m.K.Trace.Counters())
+	ctrs := m.K.Trace.Counters()
+	for _, k := range trace.SortedKeys(ctrs) {
+		decisions = append(decisions, DecisionRow{Hook: k.Hook, Module: k.Module, Decision: k.Decision, Count: ctrs[k]})
+	}
 	return syscalls, hooks, decisions, nil
 }
 
@@ -174,24 +177,6 @@ func splitHistograms(all map[string]trace.HistStats) (syscalls, hooks []HistRow)
 	sort.Slice(syscalls, func(i, j int) bool { return syscalls[i].Name < syscalls[j].Name })
 	sort.Slice(hooks, func(i, j int) bool { return hooks[i].Name < hooks[j].Name })
 	return syscalls, hooks
-}
-
-func decisionRows(ctrs map[trace.CounterKey]uint64) []DecisionRow {
-	rows := make([]DecisionRow, 0, len(ctrs))
-	for k, n := range ctrs {
-		rows = append(rows, DecisionRow{Hook: k.Hook, Module: k.Module, Decision: k.Decision, Count: n})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Hook != b.Hook {
-			return a.Hook < b.Hook
-		}
-		if a.Module != b.Module {
-			return a.Module < b.Module
-		}
-		return a.Decision < b.Decision
-	})
-	return rows
 }
 
 // BuildReport assembles the full JSON report from already-measured Table 5

@@ -18,8 +18,8 @@ import (
 // workers hammering one shared Protego machine. Each worker gets its own
 // session (and, where the path mutates shared state, its own device and
 // mountpoint), so the measured contention is the kernel's — task-table
-// shards, copy-on-write registries, RWMutex substrates, sharded decision
-// counters — not the harness's.
+// shards, copy-on-write registries, RWMutex substrates, the tracer's
+// counter cells — not the harness's.
 
 // ParallelOp is one worker's operation; iter is the iteration index.
 type ParallelOp func(iter int) error
@@ -125,7 +125,8 @@ func setupMountCheck(workers int) ([]ParallelOp, error) {
 
 // setupNetfilterVerdict: the OUTPUT-chain verdict for an unprivileged raw
 // ICMP echo (the packet ping sends under the Protego relaxation). Also
-// the hottest writer of the tracer's sharded decision counters.
+// the hottest writer of the tracer's counter cells: every verdict bumps
+// the handle its rule took at install.
 func setupNetfilterVerdict(workers int) ([]ParallelOp, error) {
 	m, err := world.BuildProtego()
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"protego/internal/lsm"
 	"protego/internal/netstack"
 	"protego/internal/policy"
+	"protego/internal/trace"
 )
 
 type bindKey struct {
@@ -88,10 +89,10 @@ func (m *Module) BindCheck(t lsm.Task, req *lsm.BindRequest) (lsm.Decision, erro
 		return lsm.NoOpinion, nil
 	}
 	if target.Binary == t.BinaryPath() && target.UID == t.EUID() {
-		m.bumpStat(&m.Stats.BindGrants)
+		m.k.Trace.Count(trace.BindGrant)
 		return lsm.Grant, nil
 	}
-	m.bumpStat(&m.Stats.BindDenials)
+	m.k.Trace.Count(trace.BindDenial)
 	return lsm.Deny, errno.EACCES
 }
 

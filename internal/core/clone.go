@@ -11,17 +11,16 @@ import (
 
 // CloneInto copies the module's policy state onto a freshly cloned
 // kernel and installs it there: the new module is registered in k's LSM
-// chain, its mount-index counter lands on k's tracer, and the shared
-// /proc/protego inodes are privatized and rebound to the new module's
-// handlers. Unlike Install, no default netfilter rules are appended (the
-// cloned table already carries them) and no monitord sync runs — the
-// golden image was synced before the snapshot.
+// chain, and the shared /proc/protego inodes are privatized and rebound
+// to the new module's handlers. Unlike Install, no default netfilter
+// rules are appended (the cloned table already carries them) and no
+// monitord sync runs — the golden image was synced before the snapshot.
 //
 // Parsed policy objects (sudoers, ppp options) are immutable once
 // installed, so the pointers are shared; everything mutable — mount
-// whitelist, bind table, file grants, toggles — is copied. Decision
-// statistics and the identity cache start fresh, giving per-tenant
-// counters.
+// whitelist, bind table, file grants, toggles — is copied. The identity
+// cache starts fresh, and the policy outcomes and mount-index hits count
+// on k's own tracer, giving per-tenant counters.
 func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) (*Module, error) {
 	c := New(k, db, auth)
 	m.mu.RLock()
@@ -43,7 +42,6 @@ func (m *Module) CloneInto(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Ser
 	auth.SetWindow(m.auth.Window())
 
 	k.LSM.Register(c)
-	k.Trace.RegisterCounter("mountidx.hit", c.mountIdxHits.Load)
 	if err := c.rebindProc(); err != nil {
 		return nil, err
 	}

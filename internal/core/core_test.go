@@ -91,7 +91,7 @@ func TestMountWhitelistMatching(t *testing.T) {
 	if err := m.K.Mount(alice, "/dev/sdc1", "/cdrom", "iso9660", nil); err != errno.EPERM {
 		t.Fatalf("wrong device: %v", err)
 	}
-	if m.Protego.Stats.MountDenials.Load() == 0 {
+	if m.Protego.Stats.Snapshot().MountDenials == 0 {
 		t.Fatal("denials not counted")
 	}
 }

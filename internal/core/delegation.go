@@ -1,12 +1,11 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"protego/internal/caps"
 	"protego/internal/errno"
 	"protego/internal/lsm"
 	"protego/internal/policy"
+	"protego/internal/trace"
 )
 
 // Capability shorthands used across the module.
@@ -69,11 +68,11 @@ func (m *Module) SetuidCheck(t lsm.Task, targetUID int) (lsm.Decision, error) {
 		// falls through to base policy (EPERM).
 		if m.suFallbackEnabled() {
 			if err := m.auth.AuthenticateUser(t, target, false); err == nil {
-				m.bumpStat(&m.Stats.SetuidGrants)
+				m.k.Trace.Count(trace.SetuidGrant)
 				return lsm.Grant, nil
 			}
 		}
-		m.bumpStat(&m.Stats.SetuidDenials)
+		m.k.Trace.Count(trace.SetuidDenial)
 		return lsm.NoOpinion, nil
 	}
 	if !grant.NoPasswd {
@@ -81,20 +80,20 @@ func (m *Module) SetuidCheck(t lsm.Task, targetUID int) (lsm.Decision, error) {
 			// The caller may be running su, not sudo: knowing the
 			// *target's* password authorizes the transition (§4.3).
 			if m.suFallbackEnabled() && m.auth.AuthenticateUser(t, target, false) == nil {
-				m.bumpStat(&m.Stats.SetuidGrants)
+				m.k.Trace.Count(trace.SetuidGrant)
 				return lsm.Grant, nil
 			}
 			m.k.Auditf("protego: setuid auth failed: uid=%d target=%d", t.UID(), targetUID)
-			m.bumpStat(&m.Stats.SetuidDenials)
+			m.k.Trace.Count(trace.SetuidDenial)
 			return lsm.Deny, errno.EPERM
 		}
 	}
 	if grant.AnyCommand {
-		m.bumpStat(&m.Stats.SetuidGrants)
+		m.k.Trace.Count(trace.SetuidGrant)
 		return lsm.Grant, nil
 	}
 	t.SetSecurityBlob(blobPendingSetuid, pendingSetuid{TargetUID: targetUID})
-	m.bumpStat(&m.Stats.SetuidDefers)
+	m.k.Trace.Count(trace.SetuidDefer)
 	return lsm.DeferToExec, nil
 }
 
@@ -166,7 +165,7 @@ func (m *Module) ExecCheck(t lsm.Task, req *lsm.ExecRequest) (*lsm.CredUpdate, e
 			grant = policy.Grant{}
 		} else {
 			m.k.Auditf("protego: setuid-on-exec denied: %s -> %s exec %s", user, target, req.Path)
-			m.bumpStat(&m.Stats.SetuidDenials)
+			m.k.Trace.Count(trace.SetuidDenial)
 			return nil, errno.EPERM
 		}
 	}
@@ -183,13 +182,6 @@ func (m *Module) ExecCheck(t lsm.Task, req *lsm.ExecRequest) (*lsm.CredUpdate, e
 			}
 		}
 	}
-	m.bumpStat(&m.Stats.SetuidGrants)
+	m.k.Trace.Count(trace.SetuidGrant)
 	return update, nil
-}
-
-// bumpStat increments a decision counter. Lock-free: the Stats fields
-// are atomics, so hook fast paths never contend on the module lock just
-// to account a grant.
-func (m *Module) bumpStat(p *atomic.Int64) {
-	p.Add(1)
 }

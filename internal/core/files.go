@@ -6,6 +6,7 @@ import (
 	"protego/internal/accountdb"
 	"protego/internal/errno"
 	"protego/internal/lsm"
+	"protego/internal/trace"
 )
 
 // FileOpen implements the file policies of §4.4 and Table 4:
@@ -36,7 +37,7 @@ func (m *Module) FileOpen(t lsm.Task, req *lsm.OpenRequest) (lsm.Decision, error
 			user := m.userName(t.UID())
 			if user == "" || m.auth.EnsureRecent(t, user) != nil {
 				m.k.Auditf("protego: shadow read without recent auth: uid=%d path=%s", t.UID(), req.Path)
-				m.bumpStat(&m.Stats.FileDenials)
+				m.k.Trace.Count(trace.FileDenial)
 				return lsm.Deny, errno.EACCES
 			}
 		}
@@ -51,7 +52,7 @@ func (m *Module) FileOpen(t lsm.Task, req *lsm.OpenRequest) (lsm.Decision, error
 	m.mu.RUnlock()
 	for _, binary := range readers {
 		if binary == t.BinaryPath() {
-			m.bumpStat(&m.Stats.FileGrants)
+			m.k.Trace.Count(trace.FileGrant)
 			return lsm.Grant, nil
 		}
 	}

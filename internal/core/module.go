@@ -17,7 +17,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"protego/internal/accountdb"
 	"protego/internal/authsvc"
@@ -25,6 +24,7 @@ import (
 	"protego/internal/lsm"
 	"protego/internal/netfilter"
 	"protego/internal/policy"
+	"protego/internal/trace"
 )
 
 // Module is the Protego LSM.
@@ -49,10 +49,6 @@ type Module struct {
 	mountIdx    map[mountKey][]compiledMountRule
 	umountUsers map[string]bool // mount points carrying "users"
 
-	// mountIdxHits counts MountCheck decisions resolved via the compiled
-	// index (exported through the tracer as "mountidx.hit").
-	mountIdxHits atomic.Uint64
-
 	// Feature toggles; all default to the paper's configuration.
 	allowUnprivRaw    bool
 	requireShadowAuth bool
@@ -68,31 +64,19 @@ type Module struct {
 	// do not reparse /etc/passwd (monitord invalidates on change).
 	identity identityCache
 
-	// Stats for tests and the evaluation harness.
+	// Stats reads the policy outcomes for tests and the evaluation
+	// harness.
 	Stats Stats
 }
 
-// Stats counts policy decisions. Each field is an atomic so the hot
-// LSM hook paths bump it without taking the module lock; read with
-// Load (the totals are monotonic, per-CPU-counter style).
-type Stats struct {
-	MountGrants   atomic.Int64
-	MountDenials  atomic.Int64
-	BindGrants    atomic.Int64
-	BindDenials   atomic.Int64
-	SetuidGrants  atomic.Int64
-	SetuidDefers  atomic.Int64
-	SetuidDenials atomic.Int64
-	RawSockGrants atomic.Int64
-	RouteGrants   atomic.Int64
-	RouteDenials  atomic.Int64
-	FileGrants    atomic.Int64
-	FileDenials   atomic.Int64
-}
+// Stats reads the module's policy outcomes. They count on the kernel's
+// tracer (as the core:* decision counters), so a cloned machine's module
+// starts from zero on the clone's own tracer.
+type Stats struct{ tr *trace.Tracer }
 
-// StatsSnapshot is a point-in-time copy of Stats with plain fields — the
-// same snapshot-struct shape as netfilter.TableStats, for readers that
-// want one consistent view instead of twelve atomic loads.
+// StatsSnapshot is a point-in-time copy of the policy outcomes, its
+// fields in the order of their tracer cells (trace.MountGrant to
+// trace.FileDenial).
 type StatsSnapshot struct {
 	MountGrants   int64
 	MountDenials  int64
@@ -108,22 +92,13 @@ type StatsSnapshot struct {
 	FileDenials   int64
 }
 
-// Snapshot reads every counter once and returns the plain-value copy.
+// Snapshot reads every outcome once.
 func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		MountGrants:   s.MountGrants.Load(),
-		MountDenials:  s.MountDenials.Load(),
-		BindGrants:    s.BindGrants.Load(),
-		BindDenials:   s.BindDenials.Load(),
-		SetuidGrants:  s.SetuidGrants.Load(),
-		SetuidDefers:  s.SetuidDefers.Load(),
-		SetuidDenials: s.SetuidDenials.Load(),
-		RawSockGrants: s.RawSockGrants.Load(),
-		RouteGrants:   s.RouteGrants.Load(),
-		RouteDenials:  s.RouteDenials.Load(),
-		FileGrants:    s.FileGrants.Load(),
-		FileDenials:   s.FileDenials.Load(),
+	var v [trace.FileDenial - trace.MountGrant + 1]int64
+	for i := range v {
+		v[i] = int64(s.tr.Load(trace.MountGrant + trace.Cell(i)))
 	}
+	return StatsSnapshot{v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10], v[11]}
 }
 
 // New creates the Protego module over the kernel's substrates. Call
@@ -140,6 +115,7 @@ func New(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) *Module {
 		allowUnprivRaw:    true,
 		requireShadowAuth: true,
 		allowSuFallback:   true,
+		Stats:             Stats{tr: k.Trace},
 	}
 }
 
@@ -148,7 +124,6 @@ func New(k *kernel.Kernel, db *accountdb.DB, auth *authsvc.Service) *Module {
 // netfilter rules.
 func (m *Module) Install() error {
 	m.k.LSM.Register(m)
-	m.k.Trace.RegisterCounter("mountidx.hit", m.mountIdxHits.Load)
 	if err := m.setupProc(); err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"protego/internal/errno"
 	"protego/internal/lsm"
 	"protego/internal/policy"
+	"protego/internal/trace"
 	"protego/internal/vfs"
 )
 
@@ -179,7 +180,7 @@ func (m *Module) MountCheck(t lsm.Task, req *lsm.MountRequest) (lsm.Decision, er
 	m.mu.RUnlock()
 	if broken {
 		// Test hook: whitelist check disabled (see TestHookBreakMountPolicy).
-		m.bumpStat(&m.Stats.MountGrants)
+		m.k.Trace.Count(trace.MountGrant)
 		return lsm.Grant, nil
 	}
 	// FUSE mounts (fusermount) are grantable over directories the caller
@@ -188,10 +189,10 @@ func (m *Module) MountCheck(t lsm.Task, req *lsm.MountRequest) (lsm.Decision, er
 	if req.FSType == "fuse" {
 		if ino, err := m.k.FS.Lookup(vfs.RootCred, req.Point); err == nil &&
 			ino.Mode.IsDir() && ino.UID == t.UID() {
-			m.bumpStat(&m.Stats.MountGrants)
+			m.k.Trace.Count(trace.MountGrant)
 			return lsm.Grant, nil
 		}
-		m.bumpStat(&m.Stats.MountDenials)
+		m.k.Trace.Count(trace.MountDenial)
 		return lsm.NoOpinion, nil
 	}
 	m.mu.RLock()
@@ -200,7 +201,7 @@ func (m *Module) MountCheck(t lsm.Task, req *lsm.MountRequest) (lsm.Decision, er
 	if len(cands) > 0 {
 		// The (device, point) probe found whitelist rows: the decision is
 		// resolved from the compiled index without scanning the table.
-		m.mountIdxHits.Add(1)
+		m.k.Trace.Count(trace.MountIdxHit)
 	}
 	matched := false
 	for i := range cands {
@@ -210,10 +211,10 @@ func (m *Module) MountCheck(t lsm.Task, req *lsm.MountRequest) (lsm.Decision, er
 		}
 	}
 	if matched {
-		m.bumpStat(&m.Stats.MountGrants)
+		m.k.Trace.Count(trace.MountGrant)
 		return lsm.Grant, nil
 	}
-	m.bumpStat(&m.Stats.MountDenials)
+	m.k.Trace.Count(trace.MountDenial)
 	return lsm.NoOpinion, nil // base policy denies (EPERM)
 }
 

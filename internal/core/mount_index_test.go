@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"protego/internal/caps"
+	"protego/internal/kernel"
 	"protego/internal/lsm"
+	"protego/internal/trace"
 )
 
 // idxTask is an unprivileged task for exercising the whitelist directly.
@@ -25,7 +27,8 @@ func (t idxTask) SecurityBlob(string) any     { return nil }
 func (t idxTask) SetSecurityBlob(string, any) {}
 
 func idxModule() *Module {
-	m := &Module{}
+	tr := trace.New(64)
+	m := &Module{k: &kernel.Kernel{Trace: tr}, Stats: Stats{tr: tr}}
 	m.SetMountRules([]MountRule{
 		{Device: "/dev/cdrom", MountPoint: "/cdrom", FSType: "iso9660",
 			Options: []string{"uid=1000"}},
@@ -76,15 +79,14 @@ func TestMountIndexGrantsWhitelisted(t *testing.T) {
 func TestMountIndexHitCounter(t *testing.T) {
 	m := idxModule()
 	alice := idxTask{uid: 1000}
-	before := m.mountIdxHits.Load()
 	// Index hit: the (device, point) pair has whitelist rows, whatever
 	// the final verdict.
 	m.MountCheck(alice, mountReq("/dev/cdrom", "/cdrom", "ext4"))
 	m.MountCheck(alice, mountReq("/dev/cdrom", "/cdrom", "iso9660"))
 	// Index miss: unknown pair.
 	m.MountCheck(alice, mountReq("/dev/zero", "/nowhere", "ext4"))
-	if got := m.mountIdxHits.Load(); got != before+2 {
-		t.Fatalf("mountIdxHits = %d, want %d", got, before+2)
+	if got := m.k.Trace.FastpathCounters()["mountidx.hit"]; got != 2 {
+		t.Fatalf("mountidx.hit = %d, want 2", got)
 	}
 }
 
@@ -128,5 +130,27 @@ func TestUmountUsersIndex(t *testing.T) {
 	})
 	if d != lsm.Grant {
 		t.Fatalf("user umount by owner: %v", d)
+	}
+}
+
+// TestStatsSnapshotReadsCells: each StatsSnapshot field reads its own
+// policy-outcome cell on the module's tracer.
+func TestStatsSnapshotReadsCells(t *testing.T) {
+	m := idxModule()
+	cells := []trace.Cell{trace.MountGrant, trace.MountDenial, trace.BindGrant, trace.BindDenial,
+		trace.SetuidGrant, trace.SetuidDefer, trace.SetuidDenial, trace.RawSockGrant,
+		trace.RouteGrant, trace.RouteDenial, trace.FileGrant, trace.FileDenial}
+	for i, c := range cells {
+		for n := 0; n <= i; n++ {
+			m.k.Trace.Count(c)
+		}
+	}
+	want := StatsSnapshot{
+		MountGrants: 1, MountDenials: 2, BindGrants: 3, BindDenials: 4,
+		SetuidGrants: 5, SetuidDefers: 6, SetuidDenials: 7, RawSockGrants: 8,
+		RouteGrants: 9, RouteDenials: 10, FileGrants: 11, FileDenials: 12,
+	}
+	if got := m.Stats.Snapshot(); got != want {
+		t.Fatalf("Snapshot = %+v, want %+v", got, want)
 	}
 }

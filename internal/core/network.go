@@ -5,6 +5,7 @@ import (
 	"protego/internal/kernel"
 	"protego/internal/lsm"
 	"protego/internal/netstack"
+	"protego/internal/trace"
 )
 
 // SocketCreate grants raw and packet sockets to unprivileged tasks
@@ -26,7 +27,7 @@ func (m *Module) SocketCreate(t lsm.Task, req *lsm.SocketRequest) (lsm.Decision,
 		return lsm.NoOpinion, nil
 	}
 	req.MarkUnprivRaw = true
-	m.bumpStat(&m.Stats.RawSockGrants)
+	m.k.Trace.Count(trace.RawSockGrant)
 	return lsm.Grant, nil
 }
 
@@ -85,10 +86,10 @@ func (m *Module) checkRouteAdd(t lsm.Task, req *lsm.IoctlRequest) (lsm.Decision,
 	// The route-integrity check: a new unprivileged route must not
 	// conflict with (overlap) any existing route.
 	if m.k.Net.RouteConflicts(route) {
-		m.bumpStat(&m.Stats.RouteDenials)
+		m.k.Trace.Count(trace.RouteDenial)
 		return lsm.Deny, errno.EPERM
 	}
-	m.bumpStat(&m.Stats.RouteGrants)
+	m.k.Trace.Count(trace.RouteGrant)
 	return lsm.Grant, nil
 }
 

@@ -11,7 +11,6 @@
 package lsm
 
 import (
-	"sync/atomic"
 	"time"
 
 	"protego/internal/caps"
@@ -94,20 +93,7 @@ const (
 )
 
 // String names the decision.
-func (d Decision) String() string {
-	switch d {
-	case NoOpinion:
-		return "no-opinion"
-	case Grant:
-		return "grant"
-	case DeferToExec:
-		return "defer-to-exec"
-	case Deny:
-		return "deny"
-	default:
-		return "invalid"
-	}
-}
+func (d Decision) String() string { return trace.DecisionName(int(d)) }
 
 // MountRequest carries the arguments of a mount(2) call to the hook.
 type MountRequest struct {
@@ -300,23 +286,24 @@ func combine(acc, d Decision) Decision {
 // restrictive stacking discipline of Linux LSMs; otherwise the strongest
 // permissive decision is reported to the kernel.
 type Chain struct {
-	modules []Module
-	// sysMods is the subset of modules implementing SyscallMediator, the
+	members []*member
+	// sysMods is the subset of members implementing SyscallMediator, the
 	// only ones TaskSyscall walks (see that hook's contract); objMods is
 	// the rest, the only ones the object hooks walk.
-	sysMods []Module
-	objMods []Module
+	sysMods []*member
+	objMods []*member
 	// tracer, when set, receives one decision event per hook evaluation
 	// (tagged with the winning module) plus per-module decision counts.
 	// It is installed once at kernel construction, before any concurrent
 	// hook traffic.
 	tracer *trace.Tracer
-	// sysAllow counts TaskSyscall evaluations where every module had no
-	// opinion. That hook runs on every syscall's hot path, so the
-	// unanimous-allow case lands in one atomic (surfaced as the
-	// lsm.syscall.allow fast-path counter in /proc/trace/stats) instead
-	// of the per-call observe/count machinery.
-	sysAllow atomic.Uint64
+}
+
+// member is one registered module and its slot in the tracer's decision
+// matrix.
+type member struct {
+	Module
+	slot int
 }
 
 // NewChain creates a chain over the given modules (evaluated in order).
@@ -328,25 +315,26 @@ func NewChain(modules ...Module) *Chain {
 	return c
 }
 
-// Register appends a module to the chain.
+// Register appends a module to the chain. With a tracer installed, the
+// module takes its decision-matrix slot now (panicking when the matrix is
+// full); otherwise SetTracer assigns it.
 func (c *Chain) Register(m Module) {
-	c.modules = append(c.modules, m)
+	e := &member{Module: m, slot: c.tracer.ModuleSlot(m.Name())}
+	c.members = append(c.members, e)
 	if _, ok := m.(SyscallMediator); ok {
-		c.sysMods = append(c.sysMods, m)
+		c.sysMods = append(c.sysMods, e)
 	} else {
-		c.objMods = append(c.objMods, m)
+		c.objMods = append(c.objMods, e)
 	}
 }
 
-// Modules returns the registered modules in evaluation order.
-func (c *Chain) Modules() []Module { return c.modules }
-
-// SetTracer installs the trace sink for hook decisions. Must be called
-// before the chain sees concurrent traffic (the kernel does it at boot).
+// SetTracer installs the trace sink for hook decisions and gives every
+// registered module its decision-matrix slot. Must be called before the
+// chain sees concurrent traffic (the kernel does it at boot).
 func (c *Chain) SetTracer(tr *trace.Tracer) {
 	c.tracer = tr
-	if tr != nil {
-		tr.RegisterCounter("lsm.syscall.allow", func() uint64 { return c.sysAllow.Load() })
+	for _, e := range c.members {
+		e.slot = tr.ModuleSlot(e.Name())
 	}
 }
 
@@ -361,42 +349,39 @@ type hookFunc func(m Module) (Decision, error)
 // decision accumulates. The winning module (the denier, or the module
 // whose opinion raised the accumulator last) is reported to the tracer;
 // an empty winner means every module deferred to base policy.
-func (c *Chain) run(hook string, t Task, f hookFunc) (Decision, error) {
+func (c *Chain) run(hook trace.Hook, t Task, f hookFunc) (Decision, error) {
 	var start time.Time
 	if c.tracer != nil {
 		start = time.Now()
 	}
 	acc := NoOpinion
 	winner := ""
-	for _, m := range c.objMods {
-		dec, err := f(m)
-		c.count(hook, m.Name(), dec, err)
+	for _, e := range c.objMods {
+		dec, err := f(e.Module)
+		c.count(hook, e, dec, err)
 		if dec == Deny || err != nil {
-			c.observe(hook, t, Deny, m.Name(), err, start)
+			c.observe(hook, t, Deny, e.Name(), err, start)
 			return Deny, err
 		}
 		if next := combine(acc, dec); next != acc {
 			acc = next
-			winner = m.Name()
+			winner = e.Name()
 		}
 	}
 	c.observe(hook, t, acc, winner, nil, start)
 	return acc, nil
 }
 
-// count bumps the per-module decision counter for one consulted module.
-func (c *Chain) count(hook, module string, dec Decision, err error) {
-	if c.tracer == nil {
-		return
-	}
+// count bumps the decision-matrix cell of one consulted module.
+func (c *Chain) count(hook trace.Hook, e *member, dec Decision, err error) {
 	if err != nil {
 		dec = Deny
 	}
-	c.tracer.CountDecision(hook, module, dec.String())
+	c.tracer.CountHook(hook, e.slot, int(dec))
 }
 
 // observe emits the hook's decision event.
-func (c *Chain) observe(hook string, t Task, dec Decision, winner string, err error, start time.Time) {
+func (c *Chain) observe(hook trace.Hook, t Task, dec Decision, winner string, err error, start time.Time) {
 	if c.tracer == nil {
 		return
 	}
@@ -404,42 +389,42 @@ func (c *Chain) observe(hook string, t Task, dec Decision, winner string, err er
 	if t != nil {
 		pid, uid = t.PID(), t.UID()
 	}
-	c.tracer.LSMDecision(hook, pid, uid, dec.String(), winner, err, time.Since(start))
+	c.tracer.LSMDecision(hook.String(), pid, uid, dec.String(), winner, err, time.Since(start))
 }
 
 // MountCheck runs the hook across the chain.
 func (c *Chain) MountCheck(t Task, req *MountRequest) (Decision, error) {
-	return c.run("MountCheck", t, func(m Module) (Decision, error) { return m.MountCheck(t, req) })
+	return c.run(trace.HookMount, t, func(m Module) (Decision, error) { return m.MountCheck(t, req) })
 }
 
 // UmountCheck runs the hook across the chain.
 func (c *Chain) UmountCheck(t Task, req *UmountRequest) (Decision, error) {
-	return c.run("UmountCheck", t, func(m Module) (Decision, error) { return m.UmountCheck(t, req) })
+	return c.run(trace.HookUmount, t, func(m Module) (Decision, error) { return m.UmountCheck(t, req) })
 }
 
 // SocketCreate runs the hook across the chain.
 func (c *Chain) SocketCreate(t Task, req *SocketRequest) (Decision, error) {
-	return c.run("SocketCreate", t, func(m Module) (Decision, error) { return m.SocketCreate(t, req) })
+	return c.run(trace.HookSocketCreate, t, func(m Module) (Decision, error) { return m.SocketCreate(t, req) })
 }
 
 // BindCheck runs the hook across the chain.
 func (c *Chain) BindCheck(t Task, req *BindRequest) (Decision, error) {
-	return c.run("BindCheck", t, func(m Module) (Decision, error) { return m.BindCheck(t, req) })
+	return c.run(trace.HookBind, t, func(m Module) (Decision, error) { return m.BindCheck(t, req) })
 }
 
 // IoctlCheck runs the hook across the chain.
 func (c *Chain) IoctlCheck(t Task, req *IoctlRequest) (Decision, error) {
-	return c.run("IoctlCheck", t, func(m Module) (Decision, error) { return m.IoctlCheck(t, req) })
+	return c.run(trace.HookIoctl, t, func(m Module) (Decision, error) { return m.IoctlCheck(t, req) })
 }
 
 // SetuidCheck runs the hook across the chain.
 func (c *Chain) SetuidCheck(t Task, targetUID int) (Decision, error) {
-	return c.run("SetuidCheck", t, func(m Module) (Decision, error) { return m.SetuidCheck(t, targetUID) })
+	return c.run(trace.HookSetuid, t, func(m Module) (Decision, error) { return m.SetuidCheck(t, targetUID) })
 }
 
 // SetgidCheck runs the hook across the chain.
 func (c *Chain) SetgidCheck(t Task, targetGID int) (Decision, error) {
-	return c.run("SetgidCheck", t, func(m Module) (Decision, error) { return m.SetgidCheck(t, targetGID) })
+	return c.run(trace.HookSetgid, t, func(m Module) (Decision, error) { return m.SetgidCheck(t, targetGID) })
 }
 
 // ExecCheck runs the hook across the chain; the first non-nil CredUpdate is
@@ -451,75 +436,74 @@ func (c *Chain) ExecCheck(t Task, req *ExecRequest) (*CredUpdate, error) {
 	}
 	var update *CredUpdate
 	winner := ""
-	for _, m := range c.modules {
-		u, err := m.ExecCheck(t, req)
+	for _, e := range c.members {
+		u, err := e.ExecCheck(t, req)
 		if err != nil {
-			c.count("ExecCheck", m.Name(), Deny, err)
-			c.observe("ExecCheck", t, Deny, m.Name(), err, start)
+			c.count(trace.HookExec, e, Deny, err)
+			c.observe(trace.HookExec, t, Deny, e.Name(), err, start)
 			return nil, err
 		}
 		dec := NoOpinion
 		if u != nil {
 			dec = Grant
 		}
-		c.count("ExecCheck", m.Name(), dec, nil)
+		c.count(trace.HookExec, e, dec, nil)
 		if update == nil && u != nil {
 			update = u
-			winner = m.Name()
+			winner = e.Name()
 		}
 	}
 	dec := NoOpinion
 	if update != nil {
 		dec = Grant
 	}
-	c.observe("ExecCheck", t, dec, winner, nil, start)
+	c.observe(trace.HookExec, t, dec, winner, nil, start)
 	return update, nil
 }
 
 // FileOpen runs the hook across the chain.
 func (c *Chain) FileOpen(t Task, req *OpenRequest) (Decision, error) {
-	return c.run("FileOpen", t, func(m Module) (Decision, error) { return m.FileOpen(t, req) })
+	return c.run(trace.HookFileOpen, t, func(m Module) (Decision, error) { return m.FileOpen(t, req) })
 }
 
 // TaskSyscall runs the syscall-entry hook across the chain. The chain
 // discipline is the same as run's — Deny or an error short-circuits,
 // otherwise the strongest permissive decision wins — but the hook sits on
 // every syscall's hot path, so the overwhelmingly common unanimous
-// no-opinion outcome bypasses the per-call count/observe machinery and
-// bumps the lsm.syscall.allow fast-path counter instead. Effectual
-// decisions (a deny, a grant, a module error) still flow through the
-// count and observe path, so they appear in /proc/trace/stats exactly
-// like every other hook's. Latency is not separately sampled here: the
-// per-syscall histograms already bracket the prologue. Only modules
-// registered as SyscallMediator are consulted.
+// no-opinion outcome skips the decision matrix and the event and bumps
+// only the lsm.syscall.allow fast-path cell. Effectual decisions (a deny,
+// a grant, a module error) are counted and observed like any hook's.
+// Latency is not separately sampled here: the per-syscall histograms
+// already bracket the prologue. Only modules registered as
+// SyscallMediator are consulted.
 func (c *Chain) TaskSyscall(t Task, sysno int, name string) (Decision, error) {
 	acc := NoOpinion
-	winner := ""
-	for _, m := range c.sysMods {
-		dec, err := m.TaskSyscall(t, sysno, name)
+	var winner *member
+	for _, e := range c.sysMods {
+		dec, err := e.TaskSyscall(t, sysno, name)
 		if dec == Deny || err != nil {
-			c.count("TaskSyscall", m.Name(), dec, err)
-			c.observe("TaskSyscall", t, Deny, m.Name(), err, time.Now())
+			c.count(trace.HookTaskSyscall, e, dec, err)
+			c.observe(trace.HookTaskSyscall, t, Deny, e.Name(), err, time.Now())
 			return Deny, err
 		}
 		if next := combine(acc, dec); next != acc {
 			acc = next
-			winner = m.Name()
+			winner = e
 		}
 	}
 	if acc == NoOpinion {
-		c.sysAllow.Add(1)
+		c.tracer.Count(trace.SyscallAllow)
 		return NoOpinion, nil
 	}
-	c.count("TaskSyscall", winner, acc, nil)
-	c.observe("TaskSyscall", t, acc, winner, nil, time.Now())
+	c.count(trace.HookTaskSyscall, winner, acc, nil)
+	c.observe(trace.HookTaskSyscall, t, acc, winner.Name(), nil, time.Now())
 	return acc, nil
 }
 
 // ResolveGroups queries the first module implementing GroupResolver.
 func (c *Chain) ResolveGroups(uid int) ([]int, bool) {
-	for _, m := range c.modules {
-		if r, ok := m.(GroupResolver); ok {
+	for _, e := range c.members {
+		if r, ok := e.Module.(GroupResolver); ok {
 			if groups, ok := r.ResolveGroups(uid); ok {
 				return groups, true
 			}

@@ -2,6 +2,9 @@ package lsm
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"protego/internal/caps"
@@ -304,7 +307,7 @@ func TestChainTracerExecCheck(t *testing.T) {
 func TestChainRegister(t *testing.T) {
 	c := NewChain()
 	c.Register(&scriptedModule{name: "late", mount: Grant})
-	if len(c.Modules()) != 1 {
+	if len(c.members) != 1 {
 		t.Fatal("register failed")
 	}
 	dec, _ := c.MountCheck(&nullTask{}, &MountRequest{})
@@ -344,4 +347,51 @@ func TestChainMediatorHooks(t *testing.T) {
 	if _, err := c.ExecCheck(tk, &ExecRequest{}); err != errno.EPERM {
 		t.Fatalf("ExecCheck err = %v, want the mediator's veto", err)
 	}
+}
+
+// TestChainMatrixRegistration: modules registered before and after
+// SetTracer both count, modules sharing a name share their cells, and a
+// chain without a tracer counts nothing.
+func TestChainMatrixRegistration(t *testing.T) {
+	tr := trace.New(64)
+	c := NewChain(&scriptedModule{name: "early", mount: Grant}, &scriptedModule{name: "twin"})
+	c.SetTracer(tr)
+	c.Register(&scriptedModule{name: "late"})
+	c.Register(&scriptedModule{name: "twin"})
+	c.MountCheck(&nullTask{}, &MountRequest{})
+	want := map[trace.CounterKey]uint64{
+		{Hook: "MountCheck", Module: "early", Decision: "grant"}:     1,
+		{Hook: "MountCheck", Module: "twin", Decision: "no-opinion"}: 2,
+		{Hook: "MountCheck", Module: "late", Decision: "no-opinion"}: 1,
+	}
+	if got := tr.Counters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counters = %v, want %v", got, want)
+	}
+
+	c.SetTracer(nil)
+	c.MountCheck(&nullTask{}, &MountRequest{})
+	c.TaskSyscall(&nullTask{}, 1, "open")
+	if got := tr.Counters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("untraced chain counted: %v, want %v", got, want)
+	}
+	if n := tr.FastpathCounters()["lsm.syscall.allow"]; n != 0 {
+		t.Fatalf("untraced chain counted lsm.syscall.allow = %d", n)
+	}
+}
+
+// TestChainMatrixFull: registering one distinct module name more than the
+// decision matrix holds panics at Register, naming the module.
+func TestChainMatrixFull(t *testing.T) {
+	c := NewChain()
+	c.SetTracer(trace.New(64))
+	for i := 0; i < trace.MaxModules; i++ {
+		c.Register(&scriptedModule{name: fmt.Sprint("m", i)})
+	}
+	c.Register(&scriptedModule{name: "m0"}) // a repeated name takes no slot
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"overflow"`) {
+			t.Fatalf("recover() = %v, want a panic naming the module", r)
+		}
+	}()
+	c.Register(&scriptedModule{name: "overflow"})
 }

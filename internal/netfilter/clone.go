@@ -1,13 +1,12 @@
 package netfilter
 
 // Clone returns a deep copy of the table for machine snapshots: chains
-// and rules are duplicated with zeroed hit counters (per-tenant match
-// statistics start fresh). The compiled dispatch index is shared — it is
+// and rules are duplicated. The compiled dispatch index is shared — it is
 // immutable once built (Append replaces it wholesale on whichever side
 // appends), and it only holds rule positions, which are identical in the
-// copy. The tracer is not carried over — the owning kernel calls
-// SetTracer with the clone's tracer, which also re-registers the
-// nfidx.fastpath counter.
+// copy. The tracer and the counter handles are not carried over: the
+// owning kernel calls SetTracer with the clone's own tracer, which takes
+// fresh handles there, so per-tenant match counts start at zero.
 func (t *Table) Clone() *Table {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"protego/internal/netstack"
+	"protego/internal/trace"
 )
 
 // scanOutput is the reference: the pre-index full first-match scan.
@@ -92,12 +93,13 @@ func TestIndexFastpathCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := tbl.fastpath.Load()
+	tr := trace.New(64)
+	tbl.SetTracer(tr)
 	// A TCP packet cannot match the ICMP or UDP-probe rules: the index
 	// prunes them, so the fastpath counter moves.
 	tbl.Output(&netstack.Packet{Proto: netstack.IPPROTO_TCP, DstPort: 22, FromRaw: true})
-	if got := tbl.fastpath.Load(); got != before+1 {
-		t.Fatalf("fastpath = %d, want %d", got, before+1)
+	if got := tr.FastpathCounters()["nfidx.fastpath"]; got != 1 {
+		t.Fatalf("nfidx.fastpath = %d, want 1", got)
 	}
 }
 

@@ -47,9 +47,7 @@ type Rule struct {
 
 	Verdict Verdict
 
-	// hits counts packets this rule matched. An atomic on the rule
-	// itself so the verdict fast path never write-locks the table.
-	hits atomic.Uint64
+	ctr *atomic.Uint64 // match counter on the table's tracer (nil without one)
 }
 
 // matches reports whether the rule applies to the packet.
@@ -142,10 +140,20 @@ func (r *Rule) String() string {
 
 // Chain is an ordered rule list with a default policy.
 type Chain struct {
-	Name   string
-	Policy Verdict
-	rules  []*Rule
-	idx    *chainIndex
+	Name      string
+	Policy    Verdict
+	rules     []*Rule
+	idx       *chainIndex
+	policyCtr [2]*atomic.Uint64 // policy verdict counters, indexed by Verdict
+}
+
+// counter takes tr's handle for one verdict of this chain, reached by the
+// named rule or, when rule is empty, by the chain's policy.
+func (c *Chain) counter(tr *trace.Tracer, rule string, v Verdict) *atomic.Uint64 {
+	if rule == "" {
+		rule = "(policy)"
+	}
+	return tr.Counter(trace.CounterKey{Hook: "netfilter:" + c.Name, Module: rule, Decision: verdictName(v)})
 }
 
 // protoPort keys the most specific dispatch bucket.
@@ -199,13 +207,9 @@ type Table struct {
 	mu     sync.RWMutex
 	chains map[string]*Chain
 
-	// tracer, when set, receives one verdict event per filtered packet.
-	// Installed once at kernel construction, before packet traffic starts.
+	// tracer, when set, receives one verdict event per filtered packet
+	// and owns its counters. Installed before packet traffic starts.
 	tracer *trace.Tracer
-
-	// fastpath counts packets whose verdict was reached after the compiled
-	// index pruned at least one rule (exported as "nfidx.fastpath").
-	fastpath atomic.Uint64
 }
 
 // NewTable creates a filter table with an empty, accept-by-default OUTPUT
@@ -220,11 +224,20 @@ func NewTable() *Table {
 	return t
 }
 
-// SetTracer installs the trace sink for packet verdicts. Must be called
-// before the table sees packet traffic (the kernel does it at boot).
+// SetTracer installs the trace sink for packet verdicts and takes the
+// counter handle of every installed rule and policy verdict on it. Must
+// be called before the table sees packet traffic (the kernel does it at
+// boot, and again on a clone).
 func (t *Table) SetTracer(tr *trace.Tracer) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.tracer = tr
-	tr.RegisterCounter("nfidx.fastpath", t.fastpath.Load)
+	for _, c := range t.chains {
+		c.policyCtr = [2]*atomic.Uint64{c.counter(tr, "", Accept), c.counter(tr, "", Drop)}
+		for _, r := range c.rules {
+			r.ctr = c.counter(tr, r.Name, r.Verdict)
+		}
+	}
 }
 
 // Append adds a rule to the end of chain and recompiles the chain's
@@ -236,6 +249,7 @@ func (t *Table) Append(chain string, r *Rule) error {
 	if !ok {
 		return fmt.Errorf("netfilter: no chain %q: %w", chain, errno.ENOENT)
 	}
+	r.ctr = c.counter(t.tracer, r.Name, r.Verdict)
 	c.rules = append(c.rules, r)
 	c.rebuildIndexLocked()
 	return nil
@@ -291,12 +305,13 @@ func (t *Table) Output(pkt *netstack.Packet) Verdict {
 	rules := c.rules
 	idx := c.idx
 	policy := c.Policy
+	policyCtr := c.policyCtr[policy]
 	t.mu.RUnlock()
 	pp := idx.byProtoPort[protoPort{proto: pkt.Proto, port: pkt.DstPort}]
 	bp := idx.byProto[pkt.Proto]
 	gen := idx.generic
 	if len(pp)+len(bp)+len(gen) < len(rules) {
-		t.fastpath.Add(1)
+		t.tracer.Count(trace.NFIdxFastpath)
 	}
 	a, b, g := 0, 0, 0
 	for a < len(pp) || b < len(bp) || g < len(gen) {
@@ -321,42 +336,12 @@ func (t *Table) Output(pkt *netstack.Packet) Verdict {
 		}
 		r := rules[i]
 		if r.matches(pkt) {
-			r.hits.Add(1)
-			t.tracer.NetfilterVerdict("OUTPUT", r.Name, verdictName(r.Verdict), pkt.SenderUID)
+			t.tracer.NetfilterVerdict(r.ctr, "OUTPUT", r.Name, verdictName(r.Verdict), pkt.SenderUID)
 			return r.Verdict
 		}
 	}
-	t.tracer.NetfilterVerdict("OUTPUT", "", verdictName(policy), pkt.SenderUID)
+	t.tracer.NetfilterVerdict(policyCtr, "OUTPUT", "", verdictName(policy), pkt.SenderUID)
 	return policy
-}
-
-// TableStats is a point-in-time snapshot of the table's counters.
-type TableStats struct {
-	// Matched holds every rule's match count by rule name, summed across
-	// chains. Counts live on the rules themselves (per-rule atomics), so
-	// they do not survive a Flush of the owning chain.
-	Matched map[string]uint64
-	// Fastpath counts packets whose verdict came via the compiled
-	// dispatch index with at least one rule pruned.
-	Fastpath uint64
-}
-
-// Stats returns a snapshot of the table's match and fast-path counters.
-// It replaces the former Matched/MatchedCounts pair: read one rule's
-// count as Stats().Matched["rule-name"].
-func (t *Table) Stats() TableStats {
-	s := TableStats{
-		Matched:  make(map[string]uint64),
-		Fastpath: t.fastpath.Load(),
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, c := range t.chains {
-		for _, r := range c.rules {
-			s.Matched[r.Name] += r.hits.Load()
-		}
-	}
-	return s
 }
 
 // verdictName renders a verdict in iptables target style.

@@ -1,11 +1,13 @@
 package netfilter
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"protego/internal/netstack"
+	"protego/internal/trace"
 )
 
 func icmpEcho(unpriv bool) *netstack.Packet {
@@ -88,16 +90,27 @@ func TestNonRawTrafficUntouched(t *testing.T) {
 	}
 }
 
+// TestRuleMatchCounters: rule and policy verdicts count on the tracer's
+// netfilter:OUTPUT keys, for rules installed before SetTracer and after.
 func TestRuleMatchCounters(t *testing.T) {
 	tbl := protegoTable(t)
+	tr := trace.New(64)
+	tbl.SetTracer(tr)
+	if err := tbl.Append("OUTPUT", &Rule{Name: "drop-uid-7", UIDs: []int{7}, Verdict: Drop}); err != nil {
+		t.Fatal(err)
+	}
 	_ = tbl.Output(icmpEcho(true))
 	_ = tbl.Output(rawTCP(true, false))
-	stats := tbl.Stats()
-	if stats.Matched["allow-unpriv-icmp-echo"] != 1 {
-		t.Fatalf("counters: %v", stats.Matched)
+	_ = tbl.Output(&netstack.Packet{Proto: netstack.IPPROTO_UDP, DstPort: 53, SenderUID: 7})
+	_ = tbl.Output(&netstack.Packet{Proto: netstack.IPPROTO_UDP, DstPort: 53})
+	want := map[trace.CounterKey]uint64{
+		{Hook: "netfilter:OUTPUT", Module: "allow-unpriv-icmp-echo", Decision: "ACCEPT"}: 1,
+		{Hook: "netfilter:OUTPUT", Module: "drop-unpriv-raw-tcp", Decision: "DROP"}:      1,
+		{Hook: "netfilter:OUTPUT", Module: "drop-uid-7", Decision: "DROP"}:               1,
+		{Hook: "netfilter:OUTPUT", Module: "(policy)", Decision: "ACCEPT"}:               1,
 	}
-	if stats.Matched["drop-unpriv-raw-tcp"] != 1 {
-		t.Fatalf("counters: %v", stats.Matched)
+	if got := tr.Counters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters = %v, want %v", got, want)
 	}
 }
 

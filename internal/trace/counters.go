@@ -1,76 +1,231 @@
 package trace
 
 import (
-	"math/rand/v2"
+	"cmp"
+	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
-// Decision counters are the hottest tracer write path: every LSM module
-// consulted on every hook bumps one, as does every netfilter verdict and
-// auth check. A single mutex-protected map serializes all of them, so
-// under concurrent syscall load the counters become the kernel-wide
-// bottleneck. Instead, each counter is a per-CPU-style sharded slot: a
-// cache-line-padded array of atomics. A writer picks a stripe with a
-// cheap per-P random draw (math/rand/v2's top-level functions read the
-// runtime's per-P generator, no lock) and increments it; readers merge
-// the stripes. The key→slot map itself is a copy-on-write snapshot —
-// once a key has been seen, bumping it is a lock-free map read plus one
-// atomic add on a stripe that (with high probability) no other writer is
-// touching.
+// The tracer owns every counter in the kernel: one atomic.Uint64 cell per
+// CounterKey. Keys known when the tracer is built are fixed cells inside
+// it (the LSM decision matrix and the Cells), so a fresh tracer allocates
+// nothing to count. Run-time keys (netfilter rules, fault sites) live in
+// one map, whose producers take a handle once instead of a lookup per
+// event.
 
-// ctrStripes is the number of stripes per counter slot. A power of two
-// so stripe selection is a mask. 16 comfortably covers the 8-writer
-// target of the scaling benchmarks.
-const ctrStripes = 16
+// Hook numbers the LSM hooks, the first axis of the decision matrix.
+type Hook uint8
 
-// ctrStripe is one stripe, padded to a 64-byte cache line so concurrent
-// writers on different stripes never false-share.
-type ctrStripe struct {
-	n atomic.Uint64
-	_ [56]byte
+// LSM hooks.
+const (
+	HookMount Hook = iota
+	HookUmount
+	HookSocketCreate
+	HookBind
+	HookIoctl
+	HookSetuid
+	HookSetgid
+	HookExec
+	HookFileOpen
+	HookTaskSyscall
+	NumHooks
+)
+
+var hookNames = [NumHooks]string{
+	"MountCheck", "UmountCheck", "SocketCreate", "BindCheck", "IoctlCheck",
+	"SetuidCheck", "SetgidCheck", "ExecCheck", "FileOpen", "TaskSyscall",
 }
 
-// ctrSlot is the sharded value of one CounterKey.
-type ctrSlot struct {
-	stripes [ctrStripes]ctrStripe
-}
+// String names the hook as the decision counters and histograms do.
+func (h Hook) String() string { return hookNames[h] }
 
-// bump increments one randomly chosen stripe.
-func (s *ctrSlot) bump() {
-	s.stripes[rand.Uint32()&(ctrStripes-1)].n.Add(1)
-}
+// decisionNames names the lsm.Decision values, the matrix's third axis.
+var decisionNames = [...]string{"no-opinion", "grant", "defer-to-exec", "deny"}
 
-// sum merges the stripes. The total is monotonic but, like a per-CPU
-// counter read on a real kernel, not an instantaneous snapshot across
-// concurrent writers.
-func (s *ctrSlot) sum() uint64 {
-	var total uint64
-	for i := range s.stripes {
-		total += s.stripes[i].n.Load()
+// NumDecisions is the number of lsm.Decision values the matrix counts.
+const NumDecisions = len(decisionNames)
+
+// DecisionName names an lsm.Decision value ("invalid" when out of range).
+func DecisionName(d int) string {
+	if d < 0 || d >= NumDecisions {
+		return "invalid"
 	}
-	return total
+	return decisionNames[d]
 }
 
-// slotFor returns the slot for key, creating and publishing it on first
-// use. The fast path is a lock-free snapshot read; the slow path (a key
-// never counted before) copies the map under ctrMu and publishes the
-// new snapshot.
-func (tr *Tracer) slotFor(key CounterKey) *ctrSlot {
-	if slot := (*tr.counters.Load())[key]; slot != nil {
-		return slot
+// MaxModules is the number of module slots in the decision matrix. The
+// largest chain the simulator builds has five distinct modules (apparmor,
+// protego, seccomp, seccomp-audit, seccomp-record).
+const MaxModules = 8
+
+// Cell numbers the fixed cells outside the decision matrix: first the
+// fast-path counters, in name order (FastpathCounters), then the auth
+// and Protego policy outcomes (Counters; core.Stats reads the latter).
+type Cell uint8
+
+// Fixed cells.
+const (
+	SyscallAllow  Cell = iota // TaskSyscall evaluations where no module had an opinion
+	MountIdxHit               // MountCheck decisions resolved via core's compiled index
+	NFIdxFastpath             // verdicts reached after netfilter's index pruned a rule
+	AuthPassword              // each auth mechanism's ok checks, then its failed ones
+	AuthPasswordFail
+	AuthRecency
+	AuthRecencyFail
+	AuthGroup
+	AuthGroupFail
+	MountGrant
+	MountDenial
+	BindGrant
+	BindDenial
+	SetuidGrant
+	SetuidDefer
+	SetuidDenial
+	RawSockGrant
+	RouteGrant
+	RouteDenial
+	FileGrant
+	FileDenial
+	numCells
+)
+
+// numFast counts the fast-path cells, which come first.
+const numFast = NFIdxFastpath + 1
+
+var cellKeys = [numCells]CounterKey{
+	SyscallAllow:     {Module: "lsm.syscall.allow"},
+	MountIdxHit:      {Module: "mountidx.hit"},
+	NFIdxFastpath:    {Module: "nfidx.fastpath"},
+	AuthPassword:     {"auth:password", "password", "ok"},
+	AuthPasswordFail: {"auth:password", "password", "fail"},
+	AuthRecency:      {"auth:recency", "recency", "ok"},
+	AuthRecencyFail:  {"auth:recency", "recency", "fail"},
+	AuthGroup:        {"auth:group", "group", "ok"},
+	AuthGroupFail:    {"auth:group", "group", "fail"},
+	MountGrant:       {"core:mount", "protego", "grant"},
+	MountDenial:      {"core:mount", "protego", "deny"},
+	BindGrant:        {"core:bind", "protego", "grant"},
+	BindDenial:       {"core:bind", "protego", "deny"},
+	SetuidGrant:      {"core:setuid", "protego", "grant"},
+	SetuidDefer:      {"core:setuid", "protego", "defer-to-exec"},
+	SetuidDenial:     {"core:setuid", "protego", "deny"},
+	RawSockGrant:     {"core:rawsock", "protego", "grant"},
+	RouteGrant:       {"core:route", "protego", "grant"},
+	RouteDenial:      {"core:route", "protego", "deny"},
+	FileGrant:        {"core:file", "protego", "grant"},
+	FileDenial:       {"core:file", "protego", "deny"},
+}
+
+// ModuleSlot returns the decision-matrix slot of the named LSM module,
+// giving a new name the next free slot; modules with the same name share
+// a slot. It panics, naming the module, when every slot is taken.
+func (tr *Tracer) ModuleSlot(name string) int {
+	if tr == nil {
+		return 0
 	}
 	tr.ctrMu.Lock()
 	defer tr.ctrMu.Unlock()
-	cur := *tr.counters.Load()
-	if slot := cur[key]; slot != nil {
-		return slot
+	if i := slices.Index(tr.modules[:tr.nModules], name); i >= 0 {
+		return i
 	}
-	next := make(map[CounterKey]*ctrSlot, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
+	if tr.nModules == MaxModules {
+		panic(fmt.Sprintf("trace: no decision-matrix slot left for LSM module %q (all %d taken)", name, MaxModules))
 	}
-	slot := new(ctrSlot)
-	next[key] = slot
-	tr.counters.Store(&next)
-	return slot
+	tr.modules[tr.nModules] = name
+	tr.nModules++
+	return tr.nModules - 1
+}
+
+// CountHook bumps the matrix cell of one module's decision on one hook;
+// slot comes from ModuleSlot and decision is an lsm.Decision value.
+func (tr *Tracer) CountHook(h Hook, slot, decision int) {
+	if tr != nil {
+		tr.lsm[h][slot][decision].Add(1)
+	}
+}
+
+// Count bumps a fixed cell.
+func (tr *Tracer) Count(c Cell) {
+	if tr != nil {
+		tr.cells[c].Add(1)
+	}
+}
+
+// Load reads a fixed cell.
+func (tr *Tracer) Load(c Cell) uint64 {
+	if tr == nil {
+		return 0
+	}
+	return tr.cells[c].Load()
+}
+
+// Counter returns the handle of a run-time counter key, creating the
+// cell on first use. Take the handle when the key comes into being and
+// bump it per event.
+func (tr *Tracer) Counter(key CounterKey) *atomic.Uint64 {
+	if tr == nil {
+		return nil
+	}
+	tr.ctrMu.Lock()
+	defer tr.ctrMu.Unlock()
+	c := tr.named[key]
+	if c == nil {
+		c = new(atomic.Uint64)
+		tr.named[key] = c
+	}
+	return c
+}
+
+// Counters returns the value of every decision counter that has counted
+// something: matrix cells, auth and policy outcomes, and run-time keys.
+func (tr *Tracer) Counters() map[CounterKey]uint64 {
+	out := make(map[CounterKey]uint64)
+	put := func(key CounterKey, c *atomic.Uint64) {
+		if n := c.Load(); n > 0 {
+			out[key] = n
+		}
+	}
+	tr.ctrMu.Lock()
+	for key, c := range tr.named {
+		put(key, c)
+	}
+	modules := tr.modules[:tr.nModules]
+	tr.ctrMu.Unlock()
+	for h := range tr.lsm {
+		for s, module := range modules {
+			for d := range tr.lsm[h][s] {
+				put(CounterKey{hookNames[h], module, decisionNames[d]}, &tr.lsm[h][s][d])
+			}
+		}
+	}
+	for c := numFast; c < numCells; c++ {
+		put(cellKeys[c], &tr.cells[c])
+	}
+	return out
+}
+
+// SortedKeys returns the keys of a Counters result ordered by hook,
+// module and decision.
+func SortedKeys(ctrs map[CounterKey]uint64) []CounterKey {
+	keys := make([]CounterKey, 0, len(ctrs))
+	for k := range ctrs {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b CounterKey) int {
+		return cmp.Or(cmp.Compare(a.Hook, b.Hook), cmp.Compare(a.Module, b.Module), cmp.Compare(a.Decision, b.Decision))
+	})
+	return keys
+}
+
+// FastpathCounters reads every fast-path counter.
+func (tr *Tracer) FastpathCounters() map[string]uint64 {
+	if tr == nil {
+		return nil
+	}
+	out := make(map[string]uint64, numFast)
+	for c := range numFast {
+		out[cellKeys[c].Module] = tr.cells[c].Load()
+	}
+	return out
 }

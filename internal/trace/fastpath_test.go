@@ -1,52 +1,47 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
-func TestFastpathCounterRegistryReadsLazily(t *testing.T) {
+func TestFastpathCounters(t *testing.T) {
 	tr := New(16)
-	var n atomic.Uint64
-	tr.RegisterCounter("mountidx.hit", n.Load)
-	n.Store(7)
-	if got := tr.FastpathCounters()["mountidx.hit"]; got != 7 {
-		t.Fatalf("mountidx.hit = %d, want 7 (must read at snapshot time)", got)
+	want := map[string]uint64{"mountidx.hit": 0, "nfidx.fastpath": 0, "lsm.syscall.allow": 0}
+	if got := tr.FastpathCounters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fresh tracer: FastpathCounters = %v, want %v", got, want)
 	}
-	n.Add(3)
-	if got := tr.FastpathCounters()["mountidx.hit"]; got != 10 {
-		t.Fatalf("mountidx.hit = %d, want 10", got)
+	for i := 0; i < 7; i++ {
+		tr.Count(MountIdxHit)
+	}
+	tr.Count(NFIdxFastpath)
+	want["mountidx.hit"], want["nfidx.fastpath"] = 7, 1
+	if got := tr.FastpathCounters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FastpathCounters = %v, want %v", got, want)
 	}
 }
 
-func TestFastpathCounterReplaceAndNilSafety(t *testing.T) {
-	tr := New(16)
-	tr.RegisterCounter("x", func() uint64 { return 1 })
-	tr.RegisterCounter("x", func() uint64 { return 2 })
-	if got := tr.FastpathCounters()["x"]; got != 2 {
-		t.Fatalf("x = %d, want 2 (re-registration replaces the reader)", got)
-	}
+func TestFastpathCountersNilSafe(t *testing.T) {
 	var nilTr *Tracer
-	nilTr.RegisterCounter("x", func() uint64 { return 1 })
+	nilTr.Count(MountIdxHit)
 	if m := nilTr.FastpathCounters(); m != nil {
 		t.Fatalf("nil tracer FastpathCounters = %v, want nil", m)
 	}
-	tr.RegisterCounter("nil-reader", nil) // must not panic at read time
-	_ = tr.FastpathCounters()
 }
 
 func TestRenderStatsFastpathSection(t *testing.T) {
 	tr := New(16)
-	out := tr.RenderStats()
-	if strings.Contains(out, "fastpath counters:") {
-		t.Fatal("empty registry must not render a fastpath section")
+	for i := 0; i < 9; i++ {
+		tr.Count(NFIdxFastpath)
 	}
-	tr.RegisterCounter("nfidx.fastpath", func() uint64 { return 9 })
-	tr.RegisterCounter("mountidx.hit", func() uint64 { return 5 })
-	out = tr.RenderStats()
+	for i := 0; i < 5; i++ {
+		tr.Count(MountIdxHit)
+	}
+	out := tr.RenderStats()
 	for _, want := range []string{
 		"fastpath counters:",
+		"  lsm.syscall.allow        0\n",
 		"  mountidx.hit             5\n",
 		"  nfidx.fastpath           9\n",
 	} {

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -178,16 +179,30 @@ func TestTracerSyscallRoundTrip(t *testing.T) {
 func TestTracerCountersAndStats(t *testing.T) {
 	tr := New(64)
 	tr.LSMDecision("MountCheck", 1, 1000, "grant", "protego", nil, time.Microsecond)
-	tr.CountDecision("MountCheck", "protego", "grant")
-	tr.CountDecision("MountCheck", "protego", "grant")
-	tr.CountDecision("MountCheck", "apparmor", "no-opinion")
-	tr.NetfilterVerdict("OUTPUT", "drop-unpriv-raw-tcp", "DROP", 1000)
-	tr.AuthCheck("password", "alice", 7, 1000, false)
+	protego, apparmor := tr.ModuleSlot("protego"), tr.ModuleSlot("apparmor")
+	tr.CountHook(HookMount, protego, 1)
+	tr.CountHook(HookMount, protego, 1)
+	tr.CountHook(HookMount, apparmor, 0)
+	tr.ModuleSlot("seccomp") // never counts, so never listed
+	rule := CounterKey{"netfilter:OUTPUT", "drop-unpriv-raw-tcp", "DROP"}
+	tr.NetfilterVerdict(tr.Counter(rule), "OUTPUT", "drop-unpriv-raw-tcp", "DROP", 1000)
+	tr.Counter(CounterKey{"netfilter:OUTPUT", "(policy)", "ACCEPT"}) // taken, never bumped
+	tr.AuthCheck(AuthPassword, "alice", 7, 1000, false)
+	tr.Count(SetuidDefer)
 	tr.Audit("mount denied")
 
-	ctrs := tr.Counters()
-	if ctrs[CounterKey{"MountCheck", "protego", "grant"}] != 2 {
-		t.Fatalf("counter = %d, want 2", ctrs[CounterKey{"MountCheck", "protego", "grant"}])
+	want := map[CounterKey]uint64{
+		{"MountCheck", "protego", "grant"}:          2,
+		{"MountCheck", "apparmor", "no-opinion"}:    1,
+		rule:                                        1,
+		{"auth:password", "password", "fail"}:       1,
+		{"core:setuid", "protego", "defer-to-exec"}: 1,
+	}
+	if ctrs := tr.Counters(); !reflect.DeepEqual(ctrs, want) {
+		t.Fatalf("Counters = %v, want %v", ctrs, want)
+	}
+	if got := tr.Load(SetuidDefer); got != 1 {
+		t.Fatalf("Load(SetuidDefer) = %d, want 1", got)
 	}
 	s := tr.Stats()
 	if s.Emitted != 4 {
@@ -216,10 +231,18 @@ func TestTracerNilSafe(t *testing.T) {
 	tok := tr.SyscallEnter("open", 1, 2)
 	tr.SyscallExit(tok, nil)
 	tr.LSMDecision("MountCheck", 1, 2, "deny", "", nil, 0)
-	tr.CountDecision("h", "m", "d")
-	tr.NetfilterVerdict("OUTPUT", "", "ACCEPT", 0)
+	tr.CountHook(HookMount, 0, 0)
+	tr.Count(NFIdxFastpath)
+	tr.Count(MountGrant)
+	if c := tr.Counter(CounterKey{"h", "m", "d"}); c != nil {
+		t.Fatalf("nil tracer Counter = %p, want nil", c)
+	}
+	if n := tr.Load(MountGrant); n != 0 {
+		t.Fatalf("nil tracer Outcome = %d, want 0", n)
+	}
+	tr.NetfilterVerdict(nil, "OUTPUT", "", "ACCEPT", 0)
 	tr.MonitordSync("mounts", 0, nil)
-	tr.AuthCheck("password", "alice", 1, 2, true)
+	tr.AuthCheck(AuthPassword, "alice", 1, 2, true)
 	tr.Audit("x")
 	tr.Emit(Event{Kind: KindAudit})
 }
@@ -237,6 +260,7 @@ func TestSnapshotKindFiltering(t *testing.T) {
 
 func TestTracerConcurrentMixedUse(t *testing.T) {
 	tr := New(256)
+	apparmor := tr.ModuleSlot("apparmor")
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -249,7 +273,7 @@ func TestTracerConcurrentMixedUse(t *testing.T) {
 				case 1:
 					tr.LSMDecision("FileOpen", w, w, "no-opinion", "", nil, time.Nanosecond)
 				case 2:
-					tr.CountDecision("FileOpen", "apparmor", "no-opinion")
+					tr.CountHook(HookFileOpen, apparmor, 0)
 				case 3:
 					tr.Audit("line")
 				}
@@ -302,43 +326,83 @@ func BenchmarkRingAppend(b *testing.B) {
 	}
 }
 
-// TestShardedCountersExact checks that the sharded decision counters
-// lose no increments under parallel writers: N goroutines bumping the
-// same key and disjoint keys must merge to exact totals, and existing
-// slots must survive the copy-on-write publication of new keys.
-func TestShardedCountersExact(t *testing.T) {
+// TestCountersExact checks that the counters lose no increments under
+// parallel writers: goroutines bumping shared and disjoint cells of every
+// kind must read back exact totals, while run-time keys are created and
+// the module slots are taken concurrently.
+func TestCountersExact(t *testing.T) {
 	tr := New(64)
 	const (
 		writers = 8
 		bumps   = 1000
 	)
+	rule := CounterKey{Hook: "netfilter:OUTPUT", Module: "rule", Decision: "ACCEPT"}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			own := fmt.Sprintf("writer-%d", w)
+			slot := tr.ModuleSlot("module")
+			own := Hook(w) // one private matrix row per writer
+			ctr := tr.Counter(rule)
 			for i := 0; i < bumps; i++ {
-				tr.CountDecision("Shared", "module", "grant")
-				tr.CountDecision("Private", own, "grant")
+				tr.CountHook(HookTaskSyscall, slot, 3)
+				tr.CountHook(own, slot, 1)
+				tr.Count(SyscallAllow)
+				tr.Count(FileGrant)
+				tr.AuthCheck(AuthGroup, "wheel", w, w, true)
+				ctr.Add(1)
 				if i%100 == 0 {
-					// New keys force COW snapshot publication mid-run.
-					tr.CountDecision("Churn", own, fmt.Sprintf("d%d", i))
+					// New run-time keys grow the map mid-run.
+					tr.Counter(CounterKey{Hook: "fault:site", Module: fmt.Sprint(w), Decision: fmt.Sprint(i)}).Add(1)
+					tr.Counters()
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	ctrs := tr.Counters()
-	shared := CounterKey{Hook: "Shared", Module: "module", Decision: "grant"}
-	if ctrs[shared] != writers*bumps {
-		t.Fatalf("shared counter = %d, want %d", ctrs[shared], writers*bumps)
+	for key, want := range map[CounterKey]uint64{
+		{"TaskSyscall", "module", "deny"}: writers * bumps,
+		{"auth:group", "group", "ok"}:     writers * bumps,
+		{"core:file", "protego", "grant"}: writers * bumps,
+		rule:                              writers * bumps,
+		{"fault:site", "3", "500"}:        1,
+	} {
+		if ctrs[key] != want {
+			t.Fatalf("%v = %d, want %d", key, ctrs[key], want)
+		}
 	}
 	for w := 0; w < writers; w++ {
-		key := CounterKey{Hook: "Private", Module: fmt.Sprintf("writer-%d", w), Decision: "grant"}
+		key := CounterKey{Hook: Hook(w).String(), Module: "module", Decision: "grant"}
 		if ctrs[key] != bumps {
 			t.Fatalf("%v = %d, want %d", key, ctrs[key], bumps)
 		}
 	}
+	if got := tr.FastpathCounters()["lsm.syscall.allow"]; got != writers*bumps {
+		t.Fatalf("lsm.syscall.allow = %d, want %d", got, writers*bumps)
+	}
+	if len(ctrs) != 4+writers+writers*bumps/100 {
+		t.Fatalf("%d counters, want %d", len(ctrs), 4+writers+writers*bumps/100)
+	}
+}
+
+// TestModuleSlots: names get slots in first-use order, a repeated name
+// shares its slot, and a name past the last slot panics naming itself.
+func TestModuleSlots(t *testing.T) {
+	tr := New(16)
+	for i := 0; i < MaxModules; i++ {
+		if got := tr.ModuleSlot(fmt.Sprint("m", i)); got != i {
+			t.Fatalf("slot of m%d = %d, want %d", i, got, i)
+		}
+	}
+	if got := tr.ModuleSlot("m3"); got != 3 {
+		t.Fatalf("repeated name got slot %d, want 3", got)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"one-too-many"`) {
+			t.Fatalf("recover() = %v, want a panic naming the module", r)
+		}
+	}()
+	tr.ModuleSlot("one-too-many")
 }

@@ -21,9 +21,10 @@ type CounterKey struct {
 	Decision string
 }
 
-// Tracer owns the event ring, the latency histograms, and the decision
-// counters. One tracer is created per simulated kernel; every producer in
-// the kernel emits through it. All methods are safe for concurrent use.
+// Tracer owns the event ring, the latency histograms, and every counter
+// (counters.go). One tracer is created per simulated kernel; every
+// producer in the kernel emits through it. All methods are safe for
+// concurrent use.
 type Tracer struct {
 	ring *Ring
 
@@ -34,18 +35,15 @@ type Tracer struct {
 	histMu sync.RWMutex
 	hists  map[histKey]*Histogram
 
-	// counters maps CounterKey → sharded atomic slot (see counters.go).
-	// The map is a copy-on-write snapshot: ctrMu serializes only the
-	// slow path that introduces a new key.
-	ctrMu    sync.Mutex
-	counters atomic.Pointer[map[CounterKey]*ctrSlot]
+	// Fixed counter cells (see counters.go).
+	lsm   [NumHooks][MaxModules][NumDecisions]atomic.Uint64
+	cells [numCells]atomic.Uint64
 
-	// fastpath holds lazily-read monotonic counters registered by the
-	// kernel's fast-path layers (compiled policy indexes). The
-	// owning subsystem keeps the hot atomic; the tracer only reads it at
-	// snapshot/render time, so registration adds zero hot-path cost.
-	fpMu     sync.RWMutex
-	fastpath map[string]func() uint64
+	// ctrMu guards the matrix's module names and the run-time counters.
+	ctrMu    sync.Mutex
+	modules  [MaxModules]string
+	nModules int
+	named    map[CounterKey]*atomic.Uint64
 }
 
 // New creates a tracer whose ring holds at least capacity events
@@ -54,45 +52,11 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	tr := &Tracer{
-		ring:     NewRing(capacity),
-		hists:    make(map[histKey]*Histogram),
-		fastpath: make(map[string]func() uint64),
+	return &Tracer{
+		ring:  NewRing(capacity),
+		hists: make(map[histKey]*Histogram),
+		named: make(map[CounterKey]*atomic.Uint64),
 	}
-	empty := make(map[CounterKey]*ctrSlot)
-	tr.counters.Store(&empty)
-	return tr
-}
-
-// RegisterCounter registers a named fast-path counter whose value is read
-// lazily (at render/snapshot time) through the supplied function. The
-// subsystem owning the counter keeps the hot atomic and pays nothing per
-// event. Registering an existing name replaces the reader.
-func (tr *Tracer) RegisterCounter(name string, read func() uint64) {
-	if tr == nil || read == nil {
-		return
-	}
-	tr.fpMu.Lock()
-	tr.fastpath[name] = read
-	tr.fpMu.Unlock()
-}
-
-// FastpathCounters reads every registered fast-path counter.
-func (tr *Tracer) FastpathCounters() map[string]uint64 {
-	if tr == nil {
-		return nil
-	}
-	tr.fpMu.RLock()
-	readers := make(map[string]func() uint64, len(tr.fastpath))
-	for k, f := range tr.fastpath {
-		readers[k] = f
-	}
-	tr.fpMu.RUnlock()
-	out := make(map[string]uint64, len(readers))
-	for k, f := range readers {
-		out[k] = f()
-	}
-	return out
 }
 
 // Emit stamps and appends an arbitrary event.
@@ -157,33 +121,16 @@ func (tr *Tracer) LSMDecision(hook string, pid, uid int, decision, winner string
 	tr.histogram("lsm", hook).Observe(lat)
 }
 
-// CountDecision bumps the (hook, module, decision) counter — one bump per
-// module consulted, independent of which module won the chain. The bump
-// is lock-free after a key's first use: a snapshot map read plus one
-// atomic add on a random stripe of the key's sharded slot.
-func (tr *Tracer) CountDecision(hook, module, decision string) {
-	if tr == nil {
-		return
-	}
-	tr.slotFor(CounterKey{Hook: hook, Module: module, Decision: decision}).bump()
-}
-
-// NetfilterVerdict records an OUTPUT-chain verdict; rule is the matching
-// rule name (empty when the chain's default policy applied).
-func (tr *Tracer) NetfilterVerdict(chain, rule, verdict string, senderUID int) {
+// NetfilterVerdict records an OUTPUT-chain verdict and bumps ctr, the
+// handle the table took for the matching rule (or for the chain policy);
+// rule is the matching rule name, empty when the chain's policy applied.
+func (tr *Tracer) NetfilterVerdict(ctr *atomic.Uint64, chain, rule, verdict string, senderUID int) {
 	if tr == nil {
 		return
 	}
 	tr.Emit(Event{Kind: KindNetfilterVerdict, Name: chain, UID: senderUID,
 		Module: rule, Decision: verdict})
-	tr.CountDecision("netfilter:"+chain, ruleOrPolicy(rule), verdict)
-}
-
-func ruleOrPolicy(rule string) string {
-	if rule == "" {
-		return "(policy)"
-	}
-	return rule
+	ctr.Add(1)
 }
 
 // MonitordSync stamps one monitoring-daemon reparse/push cycle.
@@ -199,19 +146,21 @@ func (tr *Tracer) MonitordSync(target string, lat time.Duration, err error) {
 	tr.histogram("monitord", target).Observe(lat)
 }
 
-// AuthCheck records an authentication-service check: mechanism is
-// "password", "recency", or "group"; subject is the user or group name.
-func (tr *Tracer) AuthCheck(mechanism, subject string, pid, uid int, ok bool) {
+// AuthCheck records an authentication-service check. mech is
+// AuthPassword, AuthRecency or AuthGroup, whose cell counts ok checks; a
+// failed check counts in the Fail cell after it. subject is the user or
+// group name.
+func (tr *Tracer) AuthCheck(mech Cell, subject string, pid, uid int, ok bool) {
 	if tr == nil {
 		return
 	}
-	outcome := "ok"
 	if !ok {
-		outcome = "fail"
+		mech++
 	}
+	key := cellKeys[mech]
 	tr.Emit(Event{Kind: KindAuthCheck, Name: subject, PID: pid, UID: uid,
-		Module: mechanism, Decision: outcome})
-	tr.CountDecision("auth:"+mechanism, mechanism, outcome)
+		Module: key.Module, Decision: key.Decision})
+	tr.cells[mech].Add(1)
 }
 
 // FaultInject records one deliberate fault injection: site is the
@@ -225,7 +174,7 @@ func (tr *Tracer) FaultInject(site, action, errname string, hit uint64) {
 	}
 	tr.Emit(Event{Kind: KindFaultInject, Name: site, Module: action,
 		Err: errname, Msg: fmt.Sprintf("hit=%d", hit)})
-	tr.CountDecision("fault:"+site, action, "injected")
+	tr.Counter(CounterKey{"fault:" + site, action, "injected"}).Add(1)
 }
 
 // Audit emits a legacy audit line as a structured event.
@@ -312,17 +261,6 @@ func (tr *Tracer) Histograms() map[string]HistStats {
 	return out
 }
 
-// Counters returns a copy of the decision counters, merging each key's
-// stripes into a single total.
-func (tr *Tracer) Counters() map[CounterKey]uint64 {
-	snap := *tr.counters.Load()
-	out := make(map[CounterKey]uint64, len(snap))
-	for k, slot := range snap {
-		out[k] = slot.sum()
-	}
-	return out
-}
-
 // Stats summarizes ring occupancy.
 type Stats struct {
 	Capacity int
@@ -391,37 +329,16 @@ func (tr *Tracer) RenderStats() string {
 	}
 
 	ctrs := tr.Counters()
-	ckeys := make([]CounterKey, 0, len(ctrs))
-	for k := range ctrs {
-		ckeys = append(ckeys, k)
-	}
-	sort.Slice(ckeys, func(i, j int) bool {
-		a, b := ckeys[i], ckeys[j]
-		if a.Hook != b.Hook {
-			return a.Hook < b.Hook
-		}
-		if a.Module != b.Module {
-			return a.Module < b.Module
-		}
-		return a.Decision < b.Decision
-	})
-	if len(ckeys) > 0 {
+	if len(ctrs) > 0 {
 		b.WriteString("\ndecision counters:\n")
-		for _, k := range ckeys {
+		for _, k := range SortedKeys(ctrs) {
 			fmt.Fprintf(&b, "  %-24s %-16s %-14s %d\n", k.Hook, k.Module, k.Decision, ctrs[k])
 		}
 	}
 
-	if fp := tr.FastpathCounters(); len(fp) > 0 {
-		fkeys := make([]string, 0, len(fp))
-		for k := range fp {
-			fkeys = append(fkeys, k)
-		}
-		sort.Strings(fkeys)
-		b.WriteString("\nfastpath counters:\n")
-		for _, k := range fkeys {
-			fmt.Fprintf(&b, "  %-24s %d\n", k, fp[k])
-		}
+	b.WriteString("\nfastpath counters:\n")
+	for c := range numFast {
+		fmt.Fprintf(&b, "  %-24s %d\n", cellKeys[c].Module, tr.cells[c].Load())
 	}
 	return b.String()
 }

@@ -2,12 +2,16 @@ package world
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"protego/internal/core"
 	"protego/internal/kernel"
 	"protego/internal/netstack"
+	"protego/internal/trace"
+	"protego/internal/userspace"
 	"protego/internal/vfs"
 )
 
@@ -372,6 +376,51 @@ func TestCloneTraceIsolation(t *testing.T) {
 	}
 	if a.K.Trace.Stats().Emitted == 0 {
 		t.Fatal("clone tracer saw nothing")
+	}
+}
+
+// TestCloneCountersIsolation: a user mount, a ping and a sudo on one side
+// of a golden clone count on that side's tracer only. The other side's
+// decision counters (netfilter rule counts among them), fast-path
+// counters and Protego policy outcomes stay put, whichever side runs the
+// flows.
+func TestCloneCountersIsolation(t *testing.T) {
+	parent, clone, _ := clonePair(t)
+	type counts struct {
+		ctrs  map[trace.CounterKey]uint64
+		fast  map[string]uint64
+		stats core.StatsSnapshot
+	}
+	read := func(m *Machine) counts {
+		return counts{m.K.Trace.Counters(), m.K.Trace.FastpathCounters(), m.Protego.Stats.Snapshot()}
+	}
+	echo := trace.CounterKey{Hook: "netfilter:OUTPUT", Module: "allow-unpriv-icmp-echo", Decision: "ACCEPT"}
+	for _, side := range []struct {
+		name       string
+		run, watch *Machine
+	}{{"clone", clone, parent}, {"parent", parent, clone}} {
+		watched, ran := read(side.watch), read(side.run)
+		alice := session(t, side.run, "alice")
+		for _, flow := range []struct {
+			argv  []string
+			asker func(string) string
+		}{
+			{[]string{userspace.BinMount, "/dev/cdrom", "/cdrom"}, nil},
+			{[]string{userspace.BinPing, "-c", "1", "10.0.0.2"}, nil},
+			{[]string{userspace.BinSudo, "/usr/bin/id"}, AnswerWith(AlicePassword)},
+		} {
+			if code, out, errOut, err := side.run.Run(alice, flow.argv, flow.asker); code != 0 || err != nil {
+				t.Fatalf("%s: %v = %d (%v): %q %q", side.name, flow.argv, code, err, out, errOut)
+			}
+		}
+		if got := read(side.watch); !reflect.DeepEqual(got, watched) {
+			t.Fatalf("flows on the %s moved the other side's counters:\nbefore %+v\nafter  %+v", side.name, watched, got)
+		}
+		got := read(side.run)
+		if got.ctrs[echo] <= ran.ctrs[echo] || got.fast["mountidx.hit"] <= ran.fast["mountidx.hit"] ||
+			got.stats.MountGrants <= ran.stats.MountGrants || got.stats.SetuidGrants <= ran.stats.SetuidGrants {
+			t.Fatalf("flows on the %s did not count there:\nbefore %+v\nafter  %+v", side.name, ran, got)
+		}
 	}
 }
 
